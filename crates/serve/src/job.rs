@@ -2,10 +2,10 @@
 //!
 //! A [`Job`] is one arbitrary-precision operation over [`Nat`] operands —
 //! exactly the high-traffic MPApca operators (multiply, divide, square
-//! root, Montgomery exponentiation). A [`JobSpec`] attaches scheduling
-//! metadata (priority, optional deadline); the terminal [`JobReport`]
-//! carries the bit-exact result plus the observability record: queue
-//! wait, attributed device service cycles, and the deadline outcome.
+//! root, Montgomery exponentiation). A [`JobSpec`] attaches an optional
+//! deadline; the terminal [`JobReport`] carries the bit-exact result
+//! plus the observability record: queue wait, attributed device service
+//! cycles, and the deadline outcome.
 
 use crate::error::SubmitError;
 use apc_bignum::Nat;
@@ -70,7 +70,7 @@ impl Job {
         }
     }
 
-    /// Widest operand in bits — the value bucketed by the scheduler and
+    /// Widest operand in bits — the value bucketed by the queue and
     /// checked against the admission ceiling.
     pub fn operand_bits(&self) -> u64 {
         match self {
@@ -127,27 +127,19 @@ impl Job {
     }
 }
 
-/// Scheduling metadata attached to one submission.
+/// Per-submission metadata.
 #[derive(Debug, Clone, Default)]
 pub struct JobSpec {
-    /// Higher runs sooner under the deadline-aware policy (ties broken by
-    /// deadline, then submission order). Ignored by FIFO.
-    pub priority: u8,
     /// Service-level objective measured from submission: the job should
-    /// complete within this budget. Purely observational for FIFO;
-    /// deadline-aware scheduling orders by it.
+    /// complete within this budget. Purely observational: the queue is
+    /// FIFO, and the report says whether the deadline was met.
     pub deadline: Option<Duration>,
 }
 
 impl JobSpec {
-    /// A spec with only a deadline set.
+    /// A spec with a deadline set.
     pub fn with_deadline(deadline: Duration) -> JobSpec {
-        JobSpec { priority: 0, deadline: Some(deadline) }
-    }
-
-    /// A spec with only a priority set.
-    pub fn with_priority(priority: u8) -> JobSpec {
-        JobSpec { priority, deadline: None }
+        JobSpec { deadline: Some(deadline) }
     }
 }
 

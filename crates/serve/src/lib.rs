@@ -1,4 +1,4 @@
-//! # apc-serve — a batching job scheduler over the Cambricon-P device model
+//! # apc-serve — a batching job queue over the Cambricon-P device model
 //!
 //! The ROADMAP's north star is a service, not a library call: many
 //! tenants (π digits, RSA, zkcm, ad-hoc clients) sharing one accelerator
@@ -6,18 +6,18 @@
 //! tenants and the `cambricon_p::Device` handles:
 //!
 //! - a **typed job API** ([`Job`]: multiply / divide / square root /
-//!   modular exponentiation over `apc_bignum` operands) with per-job
-//!   priority and deadline ([`JobSpec`]);
-//! - a **bounded submission queue** with explicit admission control —
-//!   rejections are typed ([`SubmitError`]), never a panic, never a
-//!   silent drop; admission is sharded and lock-free (per-bucket MPSC
-//!   channels plus an atomic capacity reservation — see the `queue`
-//!   module and DESIGN.md §"Admission and caching"), so submitters
-//!   never serialize on a queue-wide mutex;
-//! - a **batch-forming scheduler** that groups compatible jobs by
-//!   operand-bitwidth bucket and dispatches each batch to a pool of
-//!   worker-owned `Device`s (see DESIGN.md §"Serving layer" for how this
-//!   maps onto the paper's §VII utilization argument);
+//!   modular exponentiation over `apc_bignum` operands) with an optional
+//!   per-job deadline ([`JobSpec`]);
+//! - a **bounded FIFO submission queue** with explicit admission control
+//!   — rejections are typed ([`SubmitError`]), never a panic, never a
+//!   silent drop. One mutex guards the per-bucket staging deques (see
+//!   the `queue` module and DESIGN.md §"Admission and caching");
+//! - **batch formation by the workers themselves**: each free worker
+//!   takes up to `batch_max` jobs of one operand-bitwidth bucket from the
+//!   queue and runs them on its own `Device` (see DESIGN.md §"Serving
+//!   layer" for how this maps onto the paper's §VII utilization
+//!   argument). A batch forms only when a worker can run it, so batches
+//!   grow with the backlog;
 //! - a **completion side**: every accepted job gets exactly one terminal
 //!   [`JobReport`] with its bit-exact result, queue wait, attributed
 //!   service cycles (snapshot/delta on the worker's device), and
@@ -50,13 +50,11 @@ pub mod error;
 pub mod job;
 pub mod metrics;
 mod queue;
-mod scheduler;
 mod worker;
 
 pub use error::{ConfigError, ServeError, SubmitError};
 pub use job::{DeadlineOutcome, Job, JobId, JobOutput, JobReport, JobSpec};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
-pub use scheduler::SchedPolicy;
 
 use cambricon_p::{ArchConfig, Device};
 use queue::{JobQueue, Pending};
@@ -80,8 +78,6 @@ pub struct ServeConfig {
     pub min_bucket_bits: u64,
     /// Admission ceiling on operand width (also the largest bucket).
     pub max_operand_bits: u64,
-    /// Batch-formation policy.
-    pub policy: SchedPolicy,
     /// Architecture of every worker device.
     pub arch: ArchConfig,
 }
@@ -94,7 +90,6 @@ impl Default for ServeConfig {
             batch_max: 16,
             min_bucket_bits: 64,
             max_operand_bits: 1 << 23,
-            policy: SchedPolicy::Fifo,
             arch: ArchConfig::default(),
         }
     }
@@ -150,47 +145,28 @@ impl JobTicket {
 }
 
 impl ServeHandle {
-    /// Starts the service: spawns the scheduler and `workers` device
-    /// workers (at least one). Degenerate configurations (zero queue
-    /// capacity, zero or inverted bucket range) are typed
-    /// [`ConfigError`]s, not silently clamped values.
+    /// Starts the service: spawns `workers` device workers (at least
+    /// one), which pull batches from the queue themselves. Degenerate
+    /// configurations (zero queue capacity, zero or inverted bucket
+    /// range) are typed [`ConfigError`]s, not silently clamped values.
     pub fn try_start(config: ServeConfig) -> Result<ServeHandle, ConfigError> {
-        let (queue, source) = JobQueue::with_source(
+        let queue = Arc::new(JobQueue::new(
             config.queue_capacity,
             config.min_bucket_bits,
             config.max_operand_bits,
-        )?;
+        )?);
         let metrics = Arc::new(ServeMetrics::default());
-        // Ready-token dispatch: workers announce themselves on `ready`
-        // before blocking on `batch_rx`, and the scheduler forms a batch
-        // only after consuming a token — so batches form at the last
-        // possible moment, grow with the backlog, and urgency reordering
-        // stays possible until a worker can really take the work.
-        let (batch_tx, batch_rx) = mpsc::channel::<queue::Batch>();
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
-        let (ready_tx, ready_rx) = mpsc::channel::<()>();
-        let mut threads = Vec::new();
-        for index in 0..config.workers.max(1) {
-            let device = Device::new(config.arch.clone());
-            let batch_rx = Arc::clone(&batch_rx);
-            let ready = ready_tx.clone();
-            let metrics = Arc::clone(&metrics);
-            threads.push(thread::spawn(move || {
-                worker::worker_loop(index, device, batch_rx, ready, metrics);
-            }));
-        }
-        // Only workers hold ready senders: when the pool unwinds, the
-        // scheduler's `ready.recv()` errors out instead of hanging.
-        drop(ready_tx);
-        {
-            let metrics = Arc::clone(&metrics);
-            let (batch_max, policy) = (config.batch_max, config.policy);
-            threads.push(thread::spawn(move || {
-                scheduler::scheduler_loop(
-                    source, batch_tx, ready_rx, batch_max, policy, metrics,
-                );
-            }));
-        }
+        let threads = (0..config.workers.max(1))
+            .map(|index| {
+                let device = Device::new(config.arch.clone());
+                let queue = Arc::clone(&queue);
+                let metrics = Arc::clone(&metrics);
+                let batch_max = config.batch_max;
+                thread::spawn(move || {
+                    worker::worker_loop(index, device, queue, batch_max, metrics);
+                })
+            })
+            .collect();
         Ok(ServeHandle {
             inner: Arc::new(Inner {
                 queue,
@@ -250,7 +226,6 @@ impl ServeHandle {
         let depth = self.inner.queue.push(Pending {
             id,
             job,
-            spec,
             submitted_at,
             deadline_at,
             reporter,
@@ -266,7 +241,7 @@ impl ServeHandle {
 
     /// Graceful shutdown: stops admissions, drains every job already
     /// accepted (each still gets its terminal report), then joins the
-    /// scheduler and worker threads. Idempotent; any clone may call it.
+    /// worker threads. Idempotent; any clone may call it.
     pub fn shutdown(&self) {
         self.inner.queue.begin_shutdown();
         let threads = {

@@ -1,13 +1,15 @@
 //! Service observability counters and latency histograms.
 //!
 //! Everything is a relaxed atomic (the `SharedDeviceStats` idiom from
-//! `cambricon-p`), so tenants, the scheduler, and the workers all record
-//! without locks and a snapshot never stalls the service. Latency
-//! distributions are `apc_trace::Log2Histogram`s — five `Instant`-domain
-//! spans covering the full job path (admission → queue wait → batch
-//! formation → dispatch wait → kernel service) plus one cycle-domain
-//! histogram of attributed service cycles. The two time domains are never
-//! mixed: every histogram's field name carries its unit.
+//! `cambricon-p`), so tenants and workers record without locks and a
+//! snapshot never stalls the service. Latency distributions are
+//! `apc_trace::Log2Histogram`s — five `Instant`-domain spans covering the
+//! full job path (admission → queue wait → batch formation → dispatch
+//! wait → kernel service) plus one cycle-domain histogram of attributed
+//! service cycles. A worker forms its own batch, so the dispatch wait
+//! spans only the step from formation to that same worker starting the
+//! batch (the queue unlock and the batch record). The two time domains
+//! are never mixed: every histogram's field name carries its unit.
 //!
 //! [`MetricsSnapshot`] is a plain struct (no atomics, no locks) and can
 //! render itself to the Prometheus text exposition format or JSON via
@@ -93,7 +95,8 @@ impl ServeMetrics {
         self.batch_form_ns.record(form_ns);
     }
 
-    /// Records the batch's wait between formation and worker pickup.
+    /// Records the wait between a batch's formation and its worker
+    /// starting it.
     pub(crate) fn record_dispatch_wait(&self, ns: u64) {
         self.dispatch_wait_ns.record(ns);
     }
@@ -182,7 +185,7 @@ pub struct MetricsSnapshot {
     pub rejected_invalid: u64,
     /// Completed jobs that missed their deadline.
     pub deadline_missed: u64,
-    /// Batches dispatched to the worker pool.
+    /// Batches formed by the workers.
     pub batches: u64,
     /// Jobs carried by those batches.
     pub batched_jobs: u64,
@@ -203,7 +206,8 @@ pub struct MetricsSnapshot {
     pub queue_wait_ns: HistogramSnapshot,
     /// Per-batch formation time under the queue lock (ns).
     pub batch_form_ns: HistogramSnapshot,
-    /// Per-batch wait between formation and worker pickup (ns).
+    /// Per-batch wait between formation and the same worker starting
+    /// the batch (ns).
     pub dispatch_wait_ns: HistogramSnapshot,
     /// Per-job kernel wall time on the worker's device (ns).
     pub service_ns: HistogramSnapshot,

@@ -7,47 +7,26 @@
 //! IPUs busy (the paper's §VII utilization argument; see DESIGN.md
 //! §"Serving layer" and §"Admission and caching").
 //!
-//! # Sharded, lock-free admission
+//! # One mutex, one condvar
 //!
-//! Admission never takes a lock. The queue is split into a submitter
-//! half ([`JobQueue`]) and a consumer half ([`BatchSource`]):
+//! All queue state — the per-bucket staging deques, the queued count and
+//! the shutdown flag — sits behind one `Mutex`. [`JobQueue::push`] stages
+//! a job and wakes one waiting worker; each worker calls
+//! [`JobQueue::next_batch`] itself when it is free, so a batch forms only
+//! when a worker can run it, and it carries everything that accumulated
+//! in its bucket while the workers were busy. Nobody sleep-polls: workers
+//! block on the condvar (lint rule L7 enforces this for the whole crate).
 //!
-//! - Each bucket owns an `mpsc` channel. [`JobQueue::push`] resolves the
-//!   bucket, reserves capacity on a single shared [`AtomicUsize`], and
-//!   sends on that bucket's lock-free channel — submitters on different
-//!   buckets never touch the same cacheline beyond the two counters, and
-//!   submitters on the *same* bucket contend only the channel's internal
-//!   segment queue, never a `Mutex` protecting every bucket at once.
-//! - The scheduler thread exclusively owns the [`BatchSource`]: the
-//!   channel receivers plus per-bucket staging deques it drains them
-//!   into. Policy reordering (deadline-aware scans) happens on the
-//!   staged side with no lock at all, because nobody else can see it.
-//!
-//! The capacity bound and the shutdown flag use a SeqCst reserve /
-//! re-check protocol (Dekker-style store-load fencing): `push` increments
-//! `queued` *then* re-loads `shutdown`, while [`JobQueue::begin_shutdown`]
-//! stores `shutdown` *before* the scheduler's drain loop reads `queued`.
-//! In the SeqCst total order one side always observes the other, so a job
-//! is either rejected with [`SubmitError::Shutdown`] or visible to the
-//! drain — never silently leaked between the two.
-//!
-//! The condvar is now only a **sleep gate** ([`SleepGate`], the
-//! `vendor/rayon` registry idiom): an atomic event counter that
-//! submitters bump, with a mutex+condvar the scheduler parks on only
-//! after a snapshot-scan-recheck sequence proves nothing changed. The
-//! uncontended push path is two atomic RMWs and a channel send. All
-//! waiting is condvar-based; the scheduler never sleep-polls (lint rule
-//! L7 enforces this for the whole crate) — the 10 ms `wait_timeout` is a
-//! bounded fallback, not a poll, and fires only while parked idle.
+//! Because the flag and the count change under the same lock, a job is
+//! either rejected with [`SubmitError::Shutdown`] or staged before the
+//! drain can observe an empty queue — never leaked between the two.
 
 use crate::error::{ConfigError, SubmitError};
-use crate::job::{Job, JobReport, JobSpec};
-use crate::scheduler::SchedPolicy;
+use crate::job::{Job, JobReport};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::Sender;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// One accepted job waiting for dispatch.
 #[derive(Debug)]
@@ -56,8 +35,6 @@ pub(crate) struct Pending {
     pub id: u64,
     /// The work itself.
     pub job: Job,
-    /// Scheduling metadata.
-    pub spec: JobSpec,
     /// When the job was accepted.
     pub submitted_at: Instant,
     /// Absolute deadline, precomputed at admission.
@@ -71,93 +48,38 @@ pub(crate) struct Pending {
 pub(crate) struct Batch {
     /// The bucket ceiling (bits) the jobs were grouped under.
     pub bucket_bits: u64,
-    /// The jobs, in dispatch order.
+    /// The jobs, in submission order.
     pub jobs: Vec<Pending>,
     /// When batch formation finished (dispatch-wait spans start here).
     pub formed_at: Instant,
-    /// Nanoseconds spent draining and forming the batch.
+    /// Nanoseconds spent forming the batch under the queue lock.
     pub form_ns: u64,
 }
 
-/// The scheduler's parking spot: an event counter submitters bump
-/// lock-free, plus a condvar the scheduler parks on only when a
-/// snapshot/scan/recheck proves no event arrived. The mutex is touched
-/// by notifiers only while a sleeper is actually parked (`sleepers > 0`),
-/// so the hot push path never serializes on it — the same structure as
-/// the vendored rayon registry's sleep module.
-struct SleepGate {
-    /// Bumped on every queue state change (push, rollback, shutdown).
-    events: AtomicU64,
-    /// Parked-scheduler count (0 or 1); notifiers skip the mutex at 0.
-    sleepers: AtomicUsize,
-    lock: Mutex<()>,
-    wake: Condvar,
+/// Everything the queue lock protects.
+struct State {
+    /// One staging deque per bucket, indexed like the ceilings.
+    staged: Vec<VecDeque<Pending>>,
+    /// Jobs staged and not yet taken into a batch.
+    queued: usize,
+    shutdown: bool,
 }
 
-/// Bounded fallback for the one unavoidable park/notify race window; the
-/// gate is correct without it, this just caps the cost of being wrong.
-const GATE_FALLBACK: Duration = Duration::from_millis(10);
-
-impl SleepGate {
-    fn new() -> SleepGate {
-        SleepGate {
-            events: AtomicU64::new(0),
-            sleepers: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            wake: Condvar::new(),
-        }
-    }
-
-    /// The event count *before* a scan: sleep only if still unchanged.
-    fn snapshot(&self) -> u64 {
-        self.events.load(Ordering::SeqCst)
-    }
-
-    /// Announces a state change. Lock-free unless the scheduler is
-    /// parked; then the mutex acquisition serializes with the sleeper's
-    /// check-then-wait so the notify cannot slip into that gap.
-    fn notify(&self) {
-        self.events.fetch_add(1, Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
-            self.wake.notify_all();
-        }
-    }
-
-    /// Parks until an event arrives, unless one already did since
-    /// `snapshot` was taken (in which case this returns immediately).
-    fn sleep_if_unchanged(&self, snapshot: u64) {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        if self.events.load(Ordering::SeqCst) == snapshot {
-            let _ = self
-                .wake
-                .wait_timeout(guard, GATE_FALLBACK)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// The submitter half: bucket resolution, capacity reservation, and the
-/// per-bucket lock-free channels. Shared by every [`crate::ServeHandle`]
-/// clone; `push` is safe from any number of threads concurrently.
+/// The queue shared by every [`crate::ServeHandle`] clone and every
+/// worker; `push` and `next_batch` are safe from any number of threads.
 pub(crate) struct JobQueue {
     capacity: usize,
     bucket_ceilings: Vec<u64>,
-    /// One lock-free channel sender per bucket, indexed like `bucket_ceilings`.
-    senders: Vec<Sender<Pending>>,
-    /// Jobs reserved but not yet batched (in flight + channel + staged).
-    queued: AtomicUsize,
-    shutdown: AtomicBool,
-    gate: SleepGate,
+    state: Mutex<State>,
+    /// Signalled on every push and on shutdown; workers wait on it.
+    work: Condvar,
 }
 
 impl JobQueue {
-    /// Builds the queue and its consumer half with power-of-two bucket
-    /// ceilings spanning `min_bucket_bits ..= max_operand_bits`. Every
-    /// staging deque reserves the full `capacity` (total-queue bound) up
-    /// front, mirroring `Lru::new`: the queued total can never exceed
+    /// Builds the queue with power-of-two bucket ceilings spanning
+    /// `min_bucket_bits ..= max_operand_bits`. Every staging deque
+    /// reserves the full `capacity` (total-queue bound) up front,
+    /// mirroring `Lru::new`: the queued total can never exceed
     /// `capacity`, so no bucket can either, and steady state never
     /// reallocates.
     ///
@@ -165,11 +87,11 @@ impl JobQueue {
     /// zero-capacity queue would reject every submission, a zero minimum
     /// bucket has no operands, and a minimum above the maximum spans no
     /// range at all.
-    pub fn with_source(
+    pub fn new(
         capacity: usize,
         min_bucket_bits: u64,
         max_operand_bits: u64,
-    ) -> Result<(Arc<JobQueue>, BatchSource), ConfigError> {
+    ) -> Result<JobQueue, ConfigError> {
         if capacity == 0 {
             return Err(ConfigError::ZeroCapacity);
         }
@@ -201,25 +123,17 @@ impl JobQueue {
         // Saturation can only ever repeat the top rung; drop duplicates
         // so every bucket ceiling is distinct.
         ceilings.dedup();
-        let mut senders = Vec::with_capacity(ceilings.len());
-        let mut receivers = Vec::with_capacity(ceilings.len());
-        let mut staged = Vec::with_capacity(ceilings.len());
-        for _ in &ceilings {
-            let (tx, rx) = std::sync::mpsc::channel();
-            senders.push(tx);
-            receivers.push(rx);
-            staged.push(VecDeque::with_capacity(capacity));
-        }
-        let queue = Arc::new(JobQueue {
+        let staged = ceilings.iter().map(|_| VecDeque::with_capacity(capacity)).collect();
+        Ok(JobQueue {
             capacity,
             bucket_ceilings: ceilings,
-            senders,
-            queued: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            gate: SleepGate::new(),
-        });
-        let source = BatchSource { queue: Arc::clone(&queue), receivers, staged };
-        Ok((queue, source))
+            state: Mutex::new(State { staged, queued: 0, shutdown: false }),
+            work: Condvar::new(),
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The admission ceiling: the largest bucket. Fails *closed*: if the
@@ -240,9 +154,8 @@ impl JobQueue {
             .unwrap_or_else(|| self.max_operand_bits())
     }
 
-    /// Admits one job or explains why not. Never blocks, never drops,
-    /// never locks: reserve capacity, re-check shutdown, send on the
-    /// bucket channel.
+    /// Admits one job or explains why not, and returns the queue depth
+    /// including it. Never blocks on capacity and never drops.
     pub fn push(&self, pending: Pending) -> Result<usize, SubmitError> {
         let bits = pending.job.operand_bits();
         let Some(idx) = self.bucket_ceilings.iter().position(|&c| bits <= c) else {
@@ -251,151 +164,67 @@ impl JobQueue {
                 max_bits: self.max_operand_bits(),
             });
         };
-        if self.shutdown.load(Ordering::SeqCst) {
-            return Err(SubmitError::Shutdown);
-        }
-        // Reserve one slot; concurrent over-reservers each roll their own
-        // back, so `queued` can transiently overshoot but never admits
-        // past `capacity`.
-        let prev = self.queued.fetch_add(1, Ordering::SeqCst);
-        if prev >= self.capacity {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            self.gate.notify(); // a drain waiting on `queued` must recheck
-            return Err(SubmitError::QueueFull { capacity: self.capacity });
-        }
-        // Dekker re-check: `begin_shutdown` stored the flag before the
-        // drain loop reads `queued`, and we incremented `queued` before
-        // this load. Under SeqCst one of the two orders holds, so either
-        // we see the flag here (and roll back) or the drain sees our
-        // reservation (and waits for the send below).
-        if self.shutdown.load(Ordering::SeqCst) {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            self.gate.notify();
-            return Err(SubmitError::Shutdown);
-        }
-        let depth = prev + 1;
-        if self.senders[idx].send(pending).is_err() {
-            // Receiver gone: the scheduler thread died (panic unwound the
-            // BatchSource). Nothing can execute this job any more.
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            self.gate.notify();
-            return Err(SubmitError::Shutdown);
-        }
-        self.gate.notify();
+        let depth = {
+            let mut state = self.lock();
+            if state.shutdown {
+                return Err(SubmitError::Shutdown);
+            }
+            if state.queued >= self.capacity {
+                return Err(SubmitError::QueueFull { capacity: self.capacity });
+            }
+            state.staged[idx].push_back(pending);
+            state.queued += 1;
+            state.queued
+        };
+        self.work.notify_one();
         Ok(depth)
     }
 
-    /// Current queued (not yet dispatched) job count.
+    /// Current queued (not yet batched) job count.
     pub fn depth(&self) -> usize {
-        self.queued.load(Ordering::SeqCst)
+        self.lock().queued
     }
 
-    /// Flags shutdown: no new admissions; the scheduler drains what is
-    /// already queued.
-    pub fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.gate.notify();
-    }
-
-    /// Whether shutdown has begun.
-    pub fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-}
-
-/// The consumer half: owned exclusively by the scheduler thread, so
-/// staging and policy reordering need no lock of any kind.
-pub(crate) struct BatchSource {
-    queue: Arc<JobQueue>,
-    /// One channel receiver per bucket, indexed like the ceilings.
-    receivers: Vec<Receiver<Pending>>,
-    /// Per-bucket staging deques the channels drain into; reordering
-    /// (deadline-aware scans) happens here.
-    staged: Vec<VecDeque<Pending>>,
-}
-
-impl BatchSource {
-    /// Moves everything currently in the channels into the staging
-    /// deques, where the policy can see (and reorder) it.
-    fn drain_channels(&mut self) {
-        for (rx, dq) in self.receivers.iter().zip(self.staged.iter_mut()) {
-            loop {
-                match rx.try_recv() {
-                    Ok(p) => dq.push_back(p),
-                    Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-                }
-            }
-        }
-    }
-
-    /// Blocks until a batch can be formed, and forms it. Returns `None`
-    /// only when the queue is shut down **and** fully drained — the
-    /// scheduler's termination signal.
-    pub fn next_batch(&mut self, batch_max: usize, policy: SchedPolicy) -> Option<Batch> {
+    /// Blocks until a batch can be formed, and forms it: up to
+    /// `batch_max` jobs from the front of the bucket holding the oldest
+    /// job. Returns `None` only when the queue is shut down **and**
+    /// empty — the worker's termination signal.
+    pub fn next_batch(&self, batch_max: usize) -> Option<Batch> {
+        let mut state = self.lock();
         loop {
-            // Snapshot strictly before the scan: any push that the scan
-            // misses bumped the counter after this read, so the gate
-            // refuses to park and we rescan instead.
-            let snapshot = self.queue.gate.snapshot();
-            if let Some(batch) = self.pop_batch(batch_max, policy) {
+            if let Some(batch) = self.pop_batch(&mut state, batch_max) {
                 return Some(batch);
             }
-            // Termination: shutdown flagged and no reservation is live
-            // anywhere (in-flight push, channel, or staging — `queued`
-            // counts all three until batch formation releases it).
-            if self.queue.shutdown.load(Ordering::SeqCst)
-                && self.queue.queued.load(Ordering::SeqCst) == 0
-            {
+            if state.shutdown {
                 return None;
             }
-            self.queue.gate.sleep_if_unchanged(snapshot);
+            state = self.work.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Non-blocking batch formation: `None` when nothing is staged or in
-    /// the channels (the empty tick — scheduling work only exists when
-    /// jobs do).
+    /// Non-blocking batch formation: `None` when nothing is staged.
     #[cfg(test)]
-    pub fn try_next_batch(&mut self, batch_max: usize, policy: SchedPolicy) -> Option<Batch> {
-        self.pop_batch(batch_max, policy)
+    pub fn try_next_batch(&self, batch_max: usize) -> Option<Batch> {
+        self.pop_batch(&mut self.lock(), batch_max)
     }
 
-    fn pop_batch(&mut self, batch_max: usize, policy: SchedPolicy) -> Option<Batch> {
-        let batch_max = batch_max.max(1);
+    fn pop_batch(&self, state: &mut State, batch_max: usize) -> Option<Batch> {
         let form_started = Instant::now();
-        self.drain_channels();
-        // Pick the bucket whose best pending job is globally most urgent.
-        let mut best: Option<(usize, usize)> = None; // (bucket, index within)
-        for (b, dq) in self.staged.iter().enumerate() {
-            if let Some(i) = best_in_bucket(dq, policy) {
-                let cand = &dq[i];
-                let better = match best {
-                    None => true,
-                    Some((bb, bi)) => more_urgent(cand, &self.staged[bb][bi], policy),
-                };
-                if better {
-                    best = Some((b, i));
-                }
-            }
-        }
-        let (bucket, _) = best?;
-        let mut jobs = Vec::with_capacity(batch_max);
-        while jobs.len() < batch_max {
-            let Some(i) = best_in_bucket(&self.staged[bucket], policy) else {
-                break;
-            };
-            if let Some(p) = self.staged[bucket].remove(i) {
-                jobs.push(p);
-            } else {
-                break;
-            }
-        }
-        // Release the capacity reservations only now: depth() keeps
-        // counting staged jobs as queued until they leave in a batch.
-        self.queue.queued.fetch_sub(jobs.len(), Ordering::SeqCst);
+        // FIFO across buckets: the bucket whose head was submitted first.
+        let bucket = state
+            .staged
+            .iter()
+            .enumerate()
+            .filter_map(|(b, dq)| dq.front().map(|p| (p.id, b)))
+            .min()?
+            .1;
+        let dq = &mut state.staged[bucket];
+        let take = batch_max.max(1).min(dq.len());
+        let jobs: Vec<Pending> = dq.drain(..take).collect();
+        state.queued -= jobs.len();
         let formed_at = Instant::now();
         Some(Batch {
-            bucket_bits: self.queue.bucket_ceilings[bucket],
+            bucket_bits: self.bucket_ceilings[bucket],
             jobs,
             formed_at,
             form_ns: apc_trace::span::duration_ns(
@@ -404,63 +233,23 @@ impl BatchSource {
         })
     }
 
+    /// Flags shutdown: no new admissions; the workers drain what is
+    /// already queued.
+    pub fn begin_shutdown(&self) {
+        self.lock().shutdown = true;
+        self.work.notify_all();
+    }
+
+    /// Whether shutdown has begun.
+    pub fn is_shutdown(&self) -> bool {
+        self.lock().shutdown
+    }
+
     /// Reserved capacity of each staging deque (for the reservation
     /// regression test).
     #[cfg(test)]
     fn bucket_queue_capacities(&self) -> Vec<usize> {
-        self.staged.iter().map(VecDeque::capacity).collect()
-    }
-}
-
-/// Index of the most urgent job in one bucket under `policy` (FIFO keeps
-/// submission order, so the head; deadline-aware scans).
-fn best_in_bucket(dq: &VecDeque<Pending>, policy: SchedPolicy) -> Option<usize> {
-    match policy {
-        SchedPolicy::Fifo => {
-            if dq.is_empty() {
-                None
-            } else {
-                Some(0)
-            }
-        }
-        SchedPolicy::DeadlineAware => {
-            let mut best: Option<usize> = None;
-            for i in 0..dq.len() {
-                let better = match best {
-                    None => true,
-                    Some(j) => more_urgent(&dq[i], &dq[j], policy),
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-            best
-        }
-    }
-}
-
-/// Whether `a` should run before `b` under `policy`. Total and
-/// deterministic: ties fall back to submission order, so two schedulers
-/// with the same queue state form the same batches.
-fn more_urgent(a: &Pending, b: &Pending, policy: SchedPolicy) -> bool {
-    match policy {
-        SchedPolicy::Fifo => a.id < b.id,
-        SchedPolicy::DeadlineAware => {
-            // Earliest deadline first; no deadline sorts after any
-            // deadline; then higher priority; then submission order.
-            match (a.deadline_at, b.deadline_at) {
-                (Some(da), Some(db)) if da != db => da < db,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                _ => {
-                    if a.spec.priority != b.spec.priority {
-                        a.spec.priority > b.spec.priority
-                    } else {
-                        a.id < b.id
-                    }
-                }
-            }
-        }
+        self.lock().staged.iter().map(VecDeque::capacity).collect()
     }
 }
 
@@ -468,19 +257,16 @@ fn more_urgent(a: &Pending, b: &Pending, policy: SchedPolicy) -> bool {
 mod tests {
     use super::*;
     use apc_bignum::Nat;
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Arc};
     use std::thread;
-    use std::time::Duration;
 
     fn pending(id: u64, bits: u64) -> (Pending, mpsc::Receiver<JobReport>) {
         let (tx, rx) = mpsc::channel();
-        let now = Instant::now();
         (
             Pending {
                 id,
                 job: Job::Mul { a: Nat::power_of_two(bits.saturating_sub(1)), b: Nat::one() },
-                spec: JobSpec::default(),
-                submitted_at: now,
+                submitted_at: Instant::now(),
                 deadline_at: None,
                 reporter: tx,
             },
@@ -490,7 +276,7 @@ mod tests {
 
     #[test]
     fn bucket_ceilings_are_powers_of_two_and_cover_the_range() {
-        let (q, _src) = JobQueue::with_source(8, 64, 1 << 20).expect("valid queue config");
+        let q = JobQueue::new(8, 64, 1 << 20).expect("valid queue config");
         assert_eq!(q.bucket_for(1), 64);
         assert_eq!(q.bucket_for(64), 64);
         assert_eq!(q.bucket_for(65), 128);
@@ -503,16 +289,10 @@ mod tests {
         // Regression: pre-fix, all three constructions returned a live
         // queue (capacity 0 rejected everything; min > max produced an
         // inverted single-bucket ladder).
+        assert_eq!(JobQueue::new(0, 64, 4096).err(), Some(ConfigError::ZeroCapacity));
+        assert_eq!(JobQueue::new(4, 0, 4096).err(), Some(ConfigError::ZeroMinBucketBits));
         assert_eq!(
-            JobQueue::with_source(0, 64, 4096).err(),
-            Some(ConfigError::ZeroCapacity)
-        );
-        assert_eq!(
-            JobQueue::with_source(4, 0, 4096).err(),
-            Some(ConfigError::ZeroMinBucketBits)
-        );
-        assert_eq!(
-            JobQueue::with_source(4, 8192, 4096).err(),
+            JobQueue::new(4, 8192, 4096).err(),
             Some(ConfigError::MinAboveMax { min_bucket_bits: 8192, max_operand_bits: 4096 })
         );
     }
@@ -522,11 +302,10 @@ mod tests {
         // A ceiling range reaching u64::MAX must terminate (the pre-fix
         // loop relied on c >= max alone) and must not carry duplicate
         // saturated rungs.
-        let (q, _src) =
-            JobQueue::with_source(4, u64::MAX - 1, u64::MAX).expect("valid queue config");
+        let q = JobQueue::new(4, u64::MAX - 1, u64::MAX).expect("valid queue config");
         assert_eq!(q.max_operand_bits(), u64::MAX);
         assert_eq!(q.bucket_for(u64::MAX), u64::MAX);
-        let (ladder, _src) = JobQueue::with_source(4, 64, u64::MAX).expect("valid queue config");
+        let ladder = JobQueue::new(4, 64, u64::MAX).expect("valid queue config");
         // Distinct powers of two 64..2^63 plus the saturated top: 59 rungs.
         assert_eq!(ladder.max_operand_bits(), u64::MAX);
         assert_eq!(ladder.bucket_for(1 << 62), 1 << 62);
@@ -534,11 +313,11 @@ mod tests {
 
     #[test]
     fn batches_carry_formation_spans() {
-        let (q, mut src) = JobQueue::with_source(4, 64, 4096).expect("valid queue config");
+        let q = JobQueue::new(4, 64, 4096).expect("valid queue config");
         let (p, _rx) = pending(0, 100);
         q.push(p).expect("capacity available");
         let before = Instant::now();
-        let b = src.try_next_batch(4, SchedPolicy::Fifo).expect("work queued");
+        let b = q.try_next_batch(4).expect("work queued");
         assert!(b.formed_at >= before);
         // form_ns is a measured span, not a sentinel; it can be 0 on a
         // coarse clock but never exceeds the enclosing interval.
@@ -547,15 +326,14 @@ mod tests {
 
     #[test]
     fn empty_tick_yields_no_batch() {
-        let (q, mut src) = JobQueue::with_source(4, 64, 4096).expect("valid queue config");
-        assert!(src.try_next_batch(8, SchedPolicy::Fifo).is_none());
-        assert!(src.try_next_batch(8, SchedPolicy::DeadlineAware).is_none());
+        let q = JobQueue::new(4, 64, 4096).expect("valid queue config");
+        assert!(q.try_next_batch(8).is_none());
         assert_eq!(q.depth(), 0);
     }
 
     #[test]
     fn capacity_bound_is_enforced_without_blocking() {
-        let (q, _src) = JobQueue::with_source(3, 64, 4096).expect("valid queue config");
+        let q = JobQueue::new(3, 64, 4096).expect("valid queue config");
         let mut rxs = Vec::new();
         for id in 0..3 {
             let (p, rx) = pending(id, 100);
@@ -569,52 +347,30 @@ mod tests {
 
     #[test]
     fn batches_never_mix_buckets() {
-        let (q, mut src) = JobQueue::with_source(8, 64, 4096).expect("valid queue config");
+        let q = JobQueue::new(8, 64, 4096).expect("valid queue config");
         let mut rxs = Vec::new();
         for (id, bits) in [(0u64, 60u64), (1, 3000), (2, 50), (3, 40)] {
             let (p, rx) = pending(id, bits);
             q.push(p).expect("capacity available");
             rxs.push(rx);
         }
-        let b = src.try_next_batch(8, SchedPolicy::Fifo).expect("work queued");
+        let b = q.try_next_batch(8).expect("work queued");
         assert_eq!(b.bucket_bits, 64);
         assert_eq!(b.jobs.iter().map(|p| p.id).collect::<Vec<_>>(), vec![0, 2, 3]);
-        let b2 = src.try_next_batch(8, SchedPolicy::Fifo).expect("big job left");
+        let b2 = q.try_next_batch(8).expect("big job left");
         assert_eq!(b2.bucket_bits, 4096);
         assert_eq!(b2.jobs.len(), 1);
-        assert!(src.try_next_batch(8, SchedPolicy::Fifo).is_none());
-    }
-
-    #[test]
-    fn deadline_aware_orders_by_deadline_then_priority() {
-        let (q, mut src) = JobQueue::with_source(8, 64, 4096).expect("valid queue config");
-        let now = Instant::now();
-        let mut rxs = Vec::new();
-        let mut push = |id: u64, deadline_ms: Option<u64>, priority: u8| {
-            let (mut p, rx) = pending(id, 100);
-            p.deadline_at = deadline_ms.map(|ms| now + Duration::from_millis(ms));
-            p.spec.priority = priority;
-            q.push(p).expect("capacity available");
-            rxs.push(rx);
-        };
-        push(0, None, 0);
-        push(1, Some(500), 0);
-        push(2, Some(100), 0);
-        push(3, None, 9);
-        let b = src
-            .try_next_batch(4, SchedPolicy::DeadlineAware)
-            .expect("work queued");
-        assert_eq!(b.jobs.iter().map(|p| p.id).collect::<Vec<_>>(), vec![2, 1, 3, 0]);
+        assert!(q.try_next_batch(8).is_none());
     }
 
     #[test]
     fn steady_state_at_capacity_never_reallocates_bucket_queues() {
         // The Lru full-capacity-reservation idiom, applied to the
-        // scheduler's staging deques: churn the queue at its configured
-        // capacity and assert no deque ever regrows.
+        // staging deques: churn the queue at its configured capacity and
+        // assert no deque ever regrows.
         let capacity = 64;
-        let (q, mut src) = JobQueue::with_source(capacity, 64, 1 << 16).expect("valid config");
-        let reserved = src.bucket_queue_capacities();
+        let q = JobQueue::new(capacity, 64, 1 << 16).expect("valid config");
+        let reserved = q.bucket_queue_capacities();
         assert!(reserved.iter().all(|&c| c >= capacity), "{reserved:?}");
         let mut id = 0u64;
         let mut rxs = Vec::new();
@@ -629,10 +385,10 @@ mod tests {
                     Err(e) => unreachable!("unexpected rejection: {e}"),
                 }
             }
-            while src.try_next_batch(7, SchedPolicy::Fifo).is_some() {}
+            while q.try_next_batch(7).is_some() {}
         }
         assert_eq!(
-            src.bucket_queue_capacities(),
+            q.bucket_queue_capacities(),
             reserved,
             "bucket queues reallocated during steady state"
         );
@@ -640,25 +396,25 @@ mod tests {
 
     #[test]
     fn shutdown_rejects_new_but_drains_old() {
-        let (q, mut src) = JobQueue::with_source(4, 64, 4096).expect("valid queue config");
+        let q = JobQueue::new(4, 64, 4096).expect("valid queue config");
         let (p, _rx) = pending(0, 100);
         q.push(p).expect("capacity available");
         q.begin_shutdown();
         let (p2, _rx2) = pending(1, 100);
         assert_eq!(q.push(p2), Err(SubmitError::Shutdown));
         // The queued job is still drainable...
-        assert!(src.next_batch(4, SchedPolicy::Fifo).is_some());
+        assert!(q.next_batch(4).is_some());
         // ...and once empty, next_batch signals termination.
-        assert!(src.next_batch(4, SchedPolicy::Fifo).is_none());
+        assert!(q.next_batch(4).is_none());
     }
 
     #[test]
     fn concurrent_submitters_conserve_every_admitted_job() {
-        // The MPSC conservation law: with submitters racing the drain and
-        // a shutdown landing mid-stream, every Ok(push) is either in a
+        // The conservation law: with submitters racing the drain and a
+        // shutdown landing mid-stream, every Ok(push) is either in a
         // formed batch or... there is no other place. IDs are unique, so
         // a set equality check catches both loss and duplication.
-        let (q, mut src) = JobQueue::with_source(4096, 64, 1 << 16).expect("valid config");
+        let q = Arc::new(JobQueue::new(4096, 64, 1 << 16).expect("valid config"));
         let threads = 8u64;
         let per_thread = 200u64;
         let admitted = Arc::new(Mutex::new(Vec::<u64>::new()));
@@ -694,7 +450,7 @@ mod tests {
                 });
             }
             let mut drained = Vec::new();
-            while let Some(b) = src.next_batch(8, SchedPolicy::Fifo) {
+            while let Some(b) = q.next_batch(8) {
                 drained.extend(b.jobs.iter().map(|p| p.id));
             }
             drained

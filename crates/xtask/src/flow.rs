@@ -66,8 +66,8 @@ fn resolve_call(
 /// workspace — from direct acquisitions and from calls into functions
 /// that (transitively) acquire — and fail on every edge that lies on a
 /// cycle. A cycle means two threads taking the locks in opposite orders
-/// can deadlock; the serve scheduler and the planned lock-free admission
-/// rework must stay provably order-consistent.
+/// can deadlock; the serve queue, the service lifecycle and the session
+/// tallies must stay provably order-consistent.
 ///
 /// The `vendor/rayon` pool is out of scope: L9 identifies locks
 /// lexically, and the pool routes every mutex (per-worker deques,

@@ -367,14 +367,14 @@ pub fn l6_no_interior_mutability_in_pub_structs(file: &SourceFile) -> Vec<Violat
 
 /// L7: no `thread::sleep` on library paths in `crates/serve` or
 /// `crates/net`. The serving layer is event-driven end to end:
-/// submitters signal a condvar, the scheduler blocks on it, workers
-/// block on the dispatch channel. The network layer is the same —
+/// submitters signal the queue's condvar and free workers block on it
+/// until there is a batch to form. The network layer is the same —
 /// connection workers block on the accept channel or on a socket read
 /// whose *timeout* is the drain poll. A sleep on any of these paths is
-/// a latency floor and a busy-poll in disguise — the scheduler would
-/// either oversleep a ready batch or spin the (single) CPU the workers
-/// need. Tests may sleep; library code blocks on the event that
-/// actually changes state, or justifies itself with
+/// a latency floor and a busy-poll in disguise — a worker would either
+/// oversleep a ready batch or spin the CPU the other workers need.
+/// Tests may sleep; library code blocks on the event that actually
+/// changes state, or justifies itself with
 /// `// apc-lint: allow(L7) -- <reason>`.
 pub fn l7_no_sleep_in_serve(file: &SourceFile) -> Vec<Violation> {
     let rel = &file.rel_path;

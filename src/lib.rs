@@ -9,8 +9,8 @@
 //! - [`apc_sim`] — cache-hierarchy and roofline simulation.
 //! - [`apc_baselines`] — CPU/GPU/accelerator cost models.
 //! - [`apc_apps`] — the four APC applications (Pi, Frac, zkcm, RSA).
-//! - [`apc_serve`] — the batching job scheduler serving the device model
-//!   to concurrent tenants.
+//! - [`apc_serve`] — the batching job queue serving the device model to
+//!   concurrent tenants.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,12 +11,19 @@
 //!    [`apc_serve::SubmitError::QueueFull`]: no blocking, no panic, no
 //!    silent drop.
 //! 3. **Graceful shutdown** — every job accepted before shutdown gets
-//!    exactly one terminal report; nothing leaks, nothing double-fires.
+//!    exactly one terminal report; nothing leaks, nothing double-fires,
+//!    also when submitters race the shutdown.
+//! 4. **Batching** — a batch forms only when a worker is free, so jobs
+//!    that arrive while every worker is busy leave together in batches of
+//!    up to `batch_max`.
 
 use apc_bignum::Nat;
 use apc_serve::{Job, JobOutput, JobSpec, ServeConfig, ServeHandle, SubmitError};
 use cambricon_p::Device;
 use rand::{Rng, RngCore, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
+use std::thread;
 
 fn random_nat(rng: &mut rand::rngs::StdRng, bits: u64) -> Nat {
     let limbs = (bits as usize).div_ceil(64).max(1);
@@ -185,4 +192,106 @@ fn graceful_shutdown_yields_exactly_one_terminal_report_per_job() {
         JobSpec::default(),
     );
     assert!(matches!(refused, Err(SubmitError::Shutdown)));
+}
+
+#[test]
+fn queue_conserves_every_job_across_shutdown() {
+    let serve = ServeHandle::start(ServeConfig {
+        queue_capacity: 64,
+        workers: 3,
+        batch_max: 8,
+        ..ServeConfig::default()
+    });
+    let submitters = 6u64;
+    let per_thread = 60u64;
+    // Submitters pause at the halfway barrier; the shutdown thread fires
+    // there, so roughly half the submissions race the drain.
+    let barrier = Arc::new(Barrier::new(submitters as usize + 1));
+    let reported = AtomicU64::new(0);
+    let admitted_total = AtomicU64::new(0);
+    thread::scope(|s| {
+        for t in 0..submitters {
+            let serve = serve.clone();
+            let barrier = Arc::clone(&barrier);
+            let reported = &reported;
+            let admitted_total = &admitted_total;
+            s.spawn(move || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED + t);
+                let mut tickets = Vec::new();
+                for i in 0..per_thread {
+                    if i == per_thread / 2 {
+                        barrier.wait();
+                    }
+                    let a = random_nat(&mut rng, 300 + (i % 7) * 150);
+                    let b = random_nat(&mut rng, 250);
+                    match serve.submit(Job::Mul { a, b }, JobSpec::default()) {
+                        Ok(ticket) => tickets.push(ticket),
+                        // Backpressure and the shutdown race are the
+                        // point of the test, not failures.
+                        Err(_) => {}
+                    }
+                }
+                admitted_total.fetch_add(tickets.len() as u64, Ordering::Relaxed);
+                for ticket in tickets {
+                    let report = ticket
+                        .wait()
+                        .expect("every admitted job must report, shutdown included");
+                    assert!(matches!(report.output, JobOutput::Product(_)));
+                    reported.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        {
+            let serve = serve.clone();
+            let barrier = Arc::clone(&barrier);
+            s.spawn(move || {
+                barrier.wait();
+                serve.shutdown();
+            });
+        }
+    });
+    let m = serve.metrics();
+    let admitted = admitted_total.load(Ordering::Relaxed);
+    assert!(admitted > 0, "some jobs must have been admitted");
+    assert_eq!(m.submitted, admitted, "metrics admit count matches tickets");
+    assert_eq!(m.completed, admitted, "every admitted job completed");
+    assert_eq!(
+        reported.load(Ordering::Relaxed),
+        admitted,
+        "every admitted job delivered exactly one report"
+    );
+    assert_eq!(serve.queue_depth(), 0, "nothing left staged after drain");
+}
+
+#[test]
+fn jobs_queued_behind_a_busy_worker_leave_in_full_batches() {
+    let serve = ServeHandle::start(ServeConfig {
+        workers: 1,
+        batch_max: 4,
+        ..ServeConfig::default()
+    });
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xBA7C);
+    // Pin the only worker with a multiply far slower than the submissions
+    // below; its operands sit in a bucket of their own.
+    let big = Nat::power_of_two(1_000_000) - Nat::from(3u64);
+    let mut jobs = vec![Job::Mul { a: big.clone(), b: big }];
+    // Twelve jobs in the 2048-bit bucket queue up behind it.
+    for _ in 0..12 {
+        let bits = rng.gen_range(1_100u64..2_000);
+        jobs.push(Job::Mul { a: random_nat(&mut rng, bits), b: random_nat(&mut rng, 1_100) });
+    }
+    let tickets: Vec<_> = jobs
+        .iter()
+        .map(|j| serve.submit(j.clone(), JobSpec::default()).expect("capacity available"))
+        .collect();
+    let oracle = Device::new_default();
+    for (ticket, job) in tickets.into_iter().zip(&jobs) {
+        let report = ticket.wait().expect("every accepted job reports");
+        assert_eq!(report.output, direct(&oracle, job), "batched result diverged");
+    }
+    serve.shutdown();
+    let m = serve.metrics();
+    // The pin alone, then 12 queued jobs in three batches of 4.
+    assert_eq!(m.batches, 4, "jobs queued behind a busy worker must batch");
+    assert!(m.mean_batch_size() > 1.0, "mean batch {}", m.mean_batch_size());
 }
