@@ -1,6 +1,7 @@
 //! Criterion benches for the multiplication ladder (feeds Table I /
 //! Figure 11 point measurements).
 
+use apc_bignum::nat::mul::{mul_dispatch, Thresholds};
 use apc_bignum::{MulAlgorithm, Nat};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -39,6 +40,9 @@ fn bench_mul_ladder(c: &mut Criterion) {
     group.finish();
 }
 
+/// Auto dispatch against both sides of the Toom-6/SSA crossover: at each
+/// size the Toom-6 ladder (SSA disabled) and forced SSA, so the `ssa`
+/// default in `Thresholds` can be re-measured.
 fn bench_auto_dispatch(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let mut group = c.benchmark_group("mul_auto");
@@ -46,12 +50,37 @@ fn bench_auto_dispatch(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(600));
-    for bits in [4_096u64, 65_536, 1_048_576] {
-        let a = Nat::random_exact_bits(bits, &mut rng);
-        let b = Nat::random_exact_bits(bits, &mut rng);
-        group.bench_with_input(BenchmarkId::from_parameter(bits), &bits, |bench, _| {
+    let auto = Thresholds::default();
+    let toom6_ladder = Thresholds {
+        ssa: usize::MAX,
+        ..auto
+    };
+    for limbs in [
+        64usize,
+        1024,
+        2048,
+        3072,
+        auto.ssa - 1,
+        auto.ssa,
+        6000,
+        10_000,
+        16_384,
+    ] {
+        let a = Nat::random_exact_bits(limbs as u64 * 64, &mut rng);
+        let b = Nat::random_exact_bits(limbs as u64 * 64, &mut rng);
+        group.bench_with_input(BenchmarkId::new("auto", limbs), &limbs, |bench, _| {
             bench.iter(|| &a * &b)
         });
+        if limbs >= auto.toom6 {
+            group.bench_with_input(
+                BenchmarkId::new("toom6_ladder", limbs),
+                &limbs,
+                |bench, _| bench.iter(|| mul_dispatch(&a, &b, MulAlgorithm::Auto, &toom6_ladder)),
+            );
+            group.bench_with_input(BenchmarkId::new("ssa", limbs), &limbs, |bench, _| {
+                bench.iter(|| a.mul_with(&b, MulAlgorithm::Ssa))
+            });
+        }
     }
     group.finish();
 }

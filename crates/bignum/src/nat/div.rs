@@ -146,14 +146,22 @@ fn divrem_schoolbook(u: &Nat, v: &Nat) -> (Nat, Nat) {
     (Nat::from_limbs(q), r)
 }
 
-/// Top-level Burnikel–Ziegler: normalize the divisor, then consume the
+/// Top-level Burnikel–Ziegler: normalize the divisor and pad it to
+/// `n = j·2^k` limbs with `j < BZ_THRESHOLD`, so every `div_2n_1n` level
+/// halves evenly down to the schoolbook basecase, then consume the
 /// dividend from the top in divisor-sized blocks via `div_2n_1n`.
 fn divrem_block_bz(u: &Nat, v: &Nat) -> (Nat, Nat) {
+    let mut levels = 0;
+    while v.limb_len().div_ceil(1 << levels) >= BZ_THRESHOLD {
+        levels += 1;
+    }
+    let n = v.limb_len().div_ceil(1 << levels) << levels;
     // apc-lint: allow(L2) -- divrem dispatch rejects v == 0 before calling here
-    let shift = u64::from(v.limbs().last().expect("v nonzero").leading_zeros());
+    let top_zeros = v.limbs().last().expect("v nonzero").leading_zeros();
+    let shift = (n - v.limb_len()) as u64 * u64::from(LIMB_BITS) + u64::from(top_zeros);
     let un = u.shl_bits(shift);
     let vn = v.shl_bits(shift);
-    let n = vn.limb_len();
+    debug_assert_eq!(vn.limb_len(), n);
     let blocks = un.limb_len().div_ceil(n);
     let mut r = Nat::zero();
     let mut q_limbs: Vec<Limb> = vec![0; blocks * n];

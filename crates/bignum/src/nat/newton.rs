@@ -79,16 +79,19 @@ impl Nat {
         // x ≈ 2^(d_bits + prec)/d with prec ≥ target: shift to the request.
         let mut q = x.shr_bits(d_bits + prec - shift);
         // Final correction: the truncated iterate can be off by a few ulps.
+        // Form q·d once and step it by ±d alongside q.
         let p2 = Nat::power_of_two(shift);
+        let mut qd = &q * self;
         loop {
-            let prod = &(&q + &Nat::one()) * self;
-            if prod <= p2 {
-                q = &q + &Nat::one();
-            } else {
+            let next = &qd + self;
+            if next > p2 {
                 break;
             }
+            qd = next;
+            q = q.add_limb(1);
         }
-        while &q * self > p2 {
+        while qd > p2 {
+            qd = &qd - self;
             q = &q - &Nat::one();
         }
         q

@@ -74,23 +74,31 @@ impl Nat {
         if let Some(v) = self.to_u128() {
             return v.to_string();
         }
-        // Tower of powers: powers[i] = 10^(19·2^i); grow until it exceeds
-        // self so that `self < powers[top]`.
-        let mut top = Nat::from(CHUNK_VALUE);
-        let mut powers = vec![top.clone()];
-        while &top <= self {
-            top = &top * &top;
-            powers.push(top.clone());
+        // Tower of powers: powers[i] = 10^(19·2^i), grown until the square
+        // of its top entry exceeds self. That square is never needed, so
+        // it is only computed when bit lengths cannot rule it out: a b-bit
+        // top squares to at least 2^(2b−2).
+        let mut powers = vec![Nat::from(CHUNK_VALUE)];
+        while let Some(top) = powers.last() {
+            if self.bit_len() <= 2 * top.bit_len() - 2 {
+                break;
+            }
+            let square = top * top;
+            if *self < square {
+                break;
+            }
+            powers.push(square);
         }
         let mut out = String::new();
-        render(self, &powers, powers.len() - 1, true, &mut out);
+        render(self, &powers, powers.len(), true, &mut out);
         out
     }
 }
 
-/// Renders `n < powers[level]` as exactly `19·2^level` digits, zero-padded
-/// on the left — except when `leading` is set, which suppresses the
-/// padding at the front of the whole number.
+/// Renders `n < 10^(19·2^level)` as exactly `19·2^level` digits,
+/// zero-padded on the left — except when `leading` is set, which
+/// suppresses the padding at the front of the whole number. Reads
+/// `powers[i] = 10^(19·2^i)` for `i < level` only.
 fn render(n: &Nat, powers: &[Nat], level: usize, leading: bool, out: &mut String) {
     if level == 0 {
         // apc-lint: allow(L2) -- render invariant: n < powers[0] = 10^19 < 2^128
@@ -102,7 +110,7 @@ fn render(n: &Nat, powers: &[Nat], level: usize, leading: bool, out: &mut String
         }
         return;
     }
-    // n < powers[level] = powers[level-1]², so the split below is exact.
+    // n < powers[level-1]², so the split below is exact.
     let (hi, lo) = n.divrem(&powers[level - 1]);
     if leading && hi.is_zero() {
         render(&lo, powers, level - 1, true, out);
@@ -208,6 +216,33 @@ mod tests {
             assert_eq!(Nat::from_decimal_str(&s).unwrap(), n, "limbs={limbs}");
             assert!(!s.starts_with('0'));
         }
+    }
+
+    #[test]
+    fn tower_stopping_rule_edges() {
+        // Around 10^(19·2^i) the tower's bit-length test cannot decide and
+        // the square is formed; around bit lengths 2b − 2 … 2b + 1 of a
+        // b-bit tower entry the test flips.
+        for i in 0..7u32 {
+            let p = pow10(19 * (1u64 << i));
+            let b = p.bit_len();
+            let mut values = vec![&p - &Nat::one(), p.clone(), &p + &Nat::one()];
+            let square = &p * &p;
+            values.extend([&square - &Nat::one(), square.clone()]);
+            for bits in [2 * b - 2, 2 * b - 1, 2 * b, 2 * b + 1] {
+                values.push(Nat::power_of_two(bits - 1));
+                values.push(Nat::power_of_two(bits) - Nat::one());
+            }
+            for n in values {
+                let s = n.to_decimal_string();
+                assert!(!s.starts_with('0') || s == "0", "i={i}");
+                assert_eq!(Nat::from_decimal_str(&s).unwrap(), n, "i={i}");
+            }
+        }
+        assert_eq!(
+            pow10(38).to_decimal_string(),
+            format!("1{}", "0".repeat(38))
+        );
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! (the algorithm GMP uses, cited by the paper as [61]).
 
 use super::Nat;
-use crate::int::Int;
 
 impl Nat {
     /// Returns `floor(sqrt(self))`.
@@ -19,6 +18,14 @@ impl Nat {
     /// Returns `(s, r)` with `s = floor(sqrt(self))` and `r = self − s²`
     /// (so `0 <= r <= 2s`).
     ///
+    /// Zimmermann's SqrtRem (Brent–Zimmermann, *Modern Computer
+    /// Arithmetic*, Algorithm 1.12): every level returns its remainder, so
+    /// no level squares its root to recover it. Splitting at
+    /// `l = ⌊(len − 1)/4⌋` bits leaves a top part of at least `2l + 1`
+    /// bits, so its root is at least `2^l` — the normalisation the
+    /// algorithm needs — without a shift, and the quotient step
+    /// overestimates by at most one, which one correction repairs.
+    ///
     /// ```
     /// use apc_bignum::Nat;
     /// let n = Nat::from(10u64).pow(20) + Nat::from(12345u64);
@@ -27,75 +34,31 @@ impl Nat {
     /// assert!(r <= &s + &s);
     /// ```
     pub fn sqrt_rem(&self) -> (Nat, Nat) {
-        if self.is_zero() {
-            return (Nat::zero(), Nat::zero());
+        if let Some(v) = self.to_u128() {
+            let s = isqrt_u128(v);
+            return (Nat::from(s), Nat::from(v - s * s));
         }
-        // Normalize: shift left by an even amount so the bit length becomes
-        // ≡ 0 or 3 (mod 4), guaranteeing the recursion's top quarter is
-        // large enough. floor(sqrt(n·4^t)) = floor(2^t·sqrt(n)) and
-        // floor(that / 2^t) = floor(sqrt(n)).
-        let l = self.bit_len();
-        let target = l.div_ceil(4) * 4;
-        let shift = (target - l) & !1; // even
-        let shifted = self.shl_bits(shift);
-        let s_shifted = sqrt_normalized(&shifted);
-        let s = s_shifted.shr_bits(shift / 2);
-        let r = self - &(&s * &s);
-        (s, r)
-    }
-}
+        // self = h·2^{2l} + n1·2^l + n0 with n1, n0 < 2^l.
+        let l = (self.bit_len() - 1) / 4;
+        let (low, high) = self.split_at_bit(2 * l);
+        let (n0, n1) = low.split_at_bit(l);
 
-/// Recursive floor-sqrt for values whose bit length keeps the top quarter
-/// normalized (see the shift in `sqrt_rem`).
-fn sqrt_normalized(n: &Nat) -> Nat {
-    let l = n.bit_len();
-    if l <= 64 {
-        return Nat::from(isqrt_u64(n.low_u64()));
-    }
-    if l <= 126 {
-        if let Some(v) = n.to_u128() {
-            return Nat::from(isqrt_u128(v));
-        }
-    }
-    // Split n = n_hi·2^{2k} + n1·2^k + n0 with k = floor(l/4) rounded so
-    // 2k is limb-friendly; recursion follows Zimmermann's SqrtRem.
-    let k = l / 4;
-    let (low, high) = n.split_at_bit(2 * k);
-    let (n0, n1) = low.split_at_bit(k);
-
-    let s1 = sqrt_normalized(&high);
-    let r1 = &high - &(&s1 * &s1);
-
-    // (q, u) = divrem(r1·2^k + n1, 2·s1)
-    let numerator = &r1.shl_bits(k) + &n1;
-    let denominator = s1.shl_bits(1);
-    let (q, u) = numerator.divrem(&denominator);
-
-    let mut s = &s1.shl_bits(k) + &q;
-    // r = u·2^k + n0 − q²  (may be negative: correct once)
-    let r = Int::from_nat(&u.shl_bits(k) + &n0) - Int::from_nat(&q * &q);
-    if r.is_negative() {
-        // s was one too large.
-        s = s - Nat::one();
-    }
-    // The correction above can only be needed once, but guard for the
-    // rounding at non-multiple-of-4 lengths.
-    loop {
-        let sq = &s * &s;
-        if sq <= *n {
-            let next = &s + &Nat::one();
-            if &(&next * &next) > n {
-                return s;
-            }
-            s = next;
+        let (s1, r1) = high.sqrt_rem();
+        // (q, u) = divrem(r1·2^l + n1, 2·s1)
+        let (q, u) = (&r1.shl_bits(l) + &n1).divrem(&s1.shl_bits(1));
+        let s = &s1.shl_bits(l) + &q;
+        // r = u·2^l + n0 − q², negative at most once: then s was one too
+        // large and r + 2s − 1 is the remainder of s − 1.
+        let un0 = &u.shl_bits(l) + &n0;
+        let q2 = &q * &q;
+        if un0 >= q2 {
+            (s, un0 - q2)
         } else {
-            s = s - Nat::one();
+            let deficit = q2 - un0;
+            let r = &(&s.shl_bits(1) - &deficit) - &Nat::one();
+            (s - Nat::one(), r)
         }
     }
-}
-
-fn isqrt_u64(v: u64) -> u64 {
-    isqrt_u128(u128::from(v)) as u64
 }
 
 /// Integer Newton iteration started from an upper bound; the sequence
@@ -158,6 +121,49 @@ mod tests {
         assert_eq!(&(&s * &s) + &r, n);
         let next = &s + &Nat::one();
         assert!(&next * &next > n);
+    }
+
+    /// `s² + r == n` and `0 <= r <= 2s`: exactly the floor square root.
+    fn assert_sqrt_rem(n: &Nat) {
+        let (s, r) = n.sqrt_rem();
+        assert_eq!(&(&s * &s) + &r, *n, "s² + r != n at {} bits", n.bit_len());
+        assert!(r <= s.shl_bits(1), "r > 2s at {} bits", n.bit_len());
+    }
+
+    #[test]
+    fn seeded_sweep_with_edge_shapes() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(0x5127_0112);
+        for bits in 1..=4000u64 {
+            assert_sqrt_rem(&Nat::random_exact_bits(bits, &mut rng));
+            // Shapes around a square of about `bits` bits: the square
+            // itself, one below it, and the largest remainder s² + 2s.
+            let s = Nat::random_exact_bits(bits.div_ceil(2), &mut rng);
+            let sq = &s * &s;
+            assert_eq!(sq.sqrt_rem(), (s.clone(), Nat::zero()), "s² at {bits}");
+            let below = &sq - &Nat::one();
+            assert_sqrt_rem(&below);
+            let top = &sq + &s.shl_bits(1);
+            assert_eq!(
+                top.sqrt_rem(),
+                (s.clone(), s.shl_bits(1)),
+                "s²+2s at {bits}"
+            );
+            // 2^k ± 1.
+            let p = Nat::power_of_two(bits);
+            assert_sqrt_rem(&(&p + &Nat::one()));
+            assert_sqrt_rem(&(&p - &Nat::one()));
+        }
+    }
+
+    #[test]
+    fn million_bit_radicand() {
+        // π's 200k-digit radicand is 1.33M bits; go just past it.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(0x5127_1330);
+        assert_sqrt_rem(&Nat::random_exact_bits(1_340_000, &mut rng));
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub(crate) fn sub_slices(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
 
 /// Subtracts `b` from `a` in place at limb offset `offset`, returning the
 /// borrow out (0 or 1) after propagating through the rest of `a`.
-#[allow(dead_code)]
 pub(crate) fn sub_assign_at(a: &mut [Limb], b: &[Limb], offset: usize) -> Limb {
     debug_assert!(a.len() >= offset + b.len());
     let mut borrow = 0;

@@ -8,6 +8,19 @@ fn arb_nat(max_limbs: usize) -> impl Strategy<Value = Nat> {
     prop::collection::vec(any::<u64>(), 0..=max_limbs).prop_map(Nat::from_limbs)
 }
 
+/// Random, all-ones or sparse (`2^(64L−1) + 1`) operands of 1 to
+/// `max_limbs` limbs.
+fn arb_shaped(max_limbs: usize) -> impl Strategy<Value = Nat> {
+    (0u8..3, prop::collection::vec(any::<u64>(), 1..=max_limbs)).prop_map(|(shape, limbs)| {
+        let bits = 64 * limbs.len() as u64;
+        match shape {
+            0 => Nat::from_limbs(limbs),
+            1 => Nat::power_of_two(bits) - Nat::one(),
+            _ => Nat::power_of_two(bits - 1) + Nat::one(),
+        }
+    })
+}
+
 fn arb_int(max_limbs: usize) -> impl Strategy<Value = Int> {
     (any::<bool>(), arb_nat(max_limbs))
         .prop_map(|(neg, mag)| Int::from_sign_magnitude(neg, mag))
@@ -62,6 +75,14 @@ proptest! {
         ] {
             prop_assert_eq!(a.mul_with(&b, alg), reference.clone());
         }
+    }
+
+    #[test]
+    fn ssa_agrees_on_shaped_operands(a in arb_shaped(400), b in arb_shaped(400)) {
+        // Independent lengths cover unbalanced pairs; a·a takes the
+        // single-transform squaring path.
+        prop_assert_eq!(a.mul_with(&b, MulAlgorithm::Ssa), a.mul_with(&b, MulAlgorithm::Toom3));
+        prop_assert_eq!(a.mul_with(&a, MulAlgorithm::Ssa), a.mul_with(&a, MulAlgorithm::Schoolbook));
     }
 
     // --- division and roots ----------------------------------------------

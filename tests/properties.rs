@@ -2,7 +2,7 @@
 //! software substrate on arbitrary inputs, and the substrate must satisfy
 //! the algebraic laws of ℕ.
 
-use cambricon_p_repro::apc_bignum::Nat;
+use cambricon_p_repro::apc_bignum::{MulAlgorithm, Nat};
 use cambricon_p_repro::cambricon_p::accelerator::Accelerator;
 use cambricon_p_repro::cambricon_p::gu::{gather_carry_parallel, gather_reference};
 use cambricon_p_repro::cambricon_p::Device;
@@ -113,22 +113,28 @@ proptest! {
     ) {
         // Exercises the Toom-k pointwise-product dispatch in apc-bignum
         // (operands up to ~76k bits reach Toom-2/3/4 with the default
-        // thresholds). The runtime switch must not change any product bit.
+        // thresholds) and, forced, the SSA one. The runtime switch must not
+        // change any product bit.
         use cambricon_p_repro::apc_bignum::par;
         let _guard = SwitchGuard::acquire();
         par::set_parallel_enabled(false);
         let seq = &a * &b;
+        let seq_ssa = a.mul_with(&b, MulAlgorithm::Ssa);
         par::set_parallel_enabled(true);
         let par_product = &a * &b;
-        prop_assert_eq!(par_product, seq);
+        let par_ssa = a.mul_with(&b, MulAlgorithm::Ssa);
+        prop_assert_eq!(par_product, seq.clone());
+        prop_assert_eq!(seq_ssa, seq.clone());
+        prop_assert_eq!(par_ssa, seq);
     }
 }
 
 /// The host may have any core count (this CI container has one), so the
 /// global pool alone cannot prove multi-worker behavior. Build an explicit
-/// eight-worker pool and re-prove bit-identity of both parallel layers —
-/// the PE(b, w) grid dispatch and the Toom-6 pointwise-product dispatch —
-/// with work genuinely spread over eight deques.
+/// eight-worker pool and re-prove bit-identity of every parallel layer —
+/// the PE(b, w) grid dispatch, the Toom-6 pointwise-product dispatch and
+/// the SSA transform/pointwise dispatch — with work genuinely spread over
+/// eight deques.
 #[cfg(feature = "parallel")]
 #[test]
 fn eight_worker_pool_is_bit_identical_to_sequential() {
@@ -157,7 +163,7 @@ fn eight_worker_pool_is_bit_identical_to_sequential() {
     assert_eq!(par.tally, seq.tally);
 
     // Software layer: ~128k-bit operands (2000 limbs) land in the Toom-6
-    // region of the default thresholds (1536..6000 limbs), so the eleven
+    // region of the default thresholds (1536..4000 limbs), so the eleven
     // pointwise products fan out across the pool.
     let a = Nat::random_exact_bits(128_000, &mut rng);
     let b = Nat::random_exact_bits(128_000, &mut rng);
@@ -166,6 +172,17 @@ fn eight_worker_pool_is_bit_identical_to_sequential() {
     par::set_parallel_enabled(true);
     let par_product = pool.install(|| &a * &b);
     assert_eq!(par_product, seq_product);
+
+    // SSA layer: the same operands through forced Schönhage–Strassen, whose
+    // forward transforms and K pointwise products fan out across the pool,
+    // and a squaring, which transforms once.
+    let par_ssa = pool.install(|| a.mul_with(&b, MulAlgorithm::Ssa));
+    assert_eq!(par_ssa, seq_product);
+    par::set_parallel_enabled(false);
+    let seq_square = a.mul_with(&a, MulAlgorithm::Ssa);
+    par::set_parallel_enabled(true);
+    let par_square = pool.install(|| a.mul_with(&a, MulAlgorithm::Ssa));
+    assert_eq!(par_square, seq_square);
 
     pool.shutdown();
 }
