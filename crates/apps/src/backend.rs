@@ -14,7 +14,6 @@
 
 use apc_baselines::cpu as cpu_model;
 use apc_bignum::{Int, Nat};
-use apc_serve::{Job, JobOutput, JobSpec, ServeHandle};
 use apc_trace::{HistogramSnapshot, Log2Histogram};
 use cambricon_p::stats::OpClass;
 use cambricon_p::Device;
@@ -50,7 +49,6 @@ struct ClassTally {
 pub struct Session {
     kind: BackendKind,
     device: Option<Device>,
-    serve: Option<ServeHandle>,
     tallies: Mutex<[ClassTally; N_CLASSES]>,
     // Instant-domain span over every kernel operator the session ran
     // (lock-free; recorded alongside the wall tally).
@@ -105,7 +103,6 @@ impl Session {
         Session {
             kind: BackendKind::Software,
             device: None,
-            serve: None,
             tallies: Mutex::new(Default::default()),
             kernel_ns: Log2Histogram::new(),
         }
@@ -121,24 +118,6 @@ impl Session {
         Session {
             kind: BackendKind::CambriconP,
             device: Some(device),
-            serve: None,
-            tallies: Mutex::new(Default::default()),
-            kernel_ns: Log2Histogram::new(),
-        }
-    }
-
-    /// A Cambricon-P session whose heavy kernels (multiply, divide, sqrt,
-    /// modular exponentiation) are submitted to a shared `apc-serve`
-    /// service instead of a private device. Light host-side operators
-    /// (add/sub/shift, §V-C) and any job the service rejects — e.g.
-    /// backpressure or shutdown — run on a local fallback device with the
-    /// same architecture, so the session never fails and results stay
-    /// bit-identical to direct execution.
-    pub fn with_serve(serve: ServeHandle) -> Session {
-        Session {
-            kind: BackendKind::CambriconP,
-            device: Some(Device::new(serve.arch().clone())),
-            serve: Some(serve),
             tallies: Mutex::new(Default::default()),
             kernel_ns: Log2Histogram::new(),
         }
@@ -154,14 +133,10 @@ impl Session {
         self.device.as_ref()
     }
 
-    /// The shared service handle, if this session submits through one.
-    pub fn serve(&self) -> Option<&ServeHandle> {
-        self.serve.as_ref()
-    }
-
     /// Snapshot of the per-operator kernel wall-time span histogram
     /// (Instant domain, nanoseconds). Counts one entry per tallied
-    /// operator, whichever engine executed it.
+    /// software operator; a device session accounts its operators on
+    /// the device instead.
     pub fn kernel_latency(&self) -> HistogramSnapshot {
         self.kernel_ns.snapshot()
     }
@@ -186,28 +161,8 @@ impl Session {
         t[idx].modeled_seconds += modeled;
     }
 
-    /// Submits a heavy kernel to the shared service, if one is attached.
-    /// Returns `None` when there is no service or the job was rejected
-    /// (backpressure, oversize, shutdown) — the caller then runs the
-    /// operator on the local fallback device. Accepted jobs tally their
-    /// measured wall time (submit to report, queueing included) and the
-    /// service-attributed device seconds as the modeled time.
-    fn offload(&self, job: Job) -> Option<JobOutput> {
-        let serve = self.serve.as_ref()?;
-        let t0 = Instant::now();
-        let report = serve.submit_wait(job, JobSpec::default()).ok()?;
-        let wall = t0.elapsed().as_secs_f64();
-        self.tally(report.op_class, wall, report.service_seconds);
-        Some(report.output)
-    }
-
     /// Multiplication of naturals.
     pub fn mul(&self, a: &Nat, b: &Nat) -> Nat {
-        if let Some(JobOutput::Product(r)) =
-            self.offload(Job::Mul { a: a.clone(), b: b.clone() })
-        {
-            return r;
-        }
         match &self.device {
             Some(d) => d.mul(a, b),
             None => {
@@ -283,11 +238,6 @@ impl Session {
 
     /// Division with remainder.
     pub fn divrem(&self, a: &Nat, b: &Nat) -> (Nat, Nat) {
-        if let Some(JobOutput::DivRem { quotient, remainder }) =
-            self.offload(Job::Div { a: a.clone(), b: b.clone() })
-        {
-            return (quotient, remainder);
-        }
         match &self.device {
             Some(d) => d.divrem(a, b),
             None => {
@@ -303,11 +253,6 @@ impl Session {
 
     /// Integer square root with remainder.
     pub fn sqrt_rem(&self, a: &Nat) -> (Nat, Nat) {
-        if let Some(JobOutput::SqrtRem { root, remainder }) =
-            self.offload(Job::Sqrt { a: a.clone() })
-        {
-            return (root, remainder);
-        }
         match &self.device {
             Some(d) => d.sqrt_rem(a),
             None => {
@@ -323,13 +268,6 @@ impl Session {
 
     /// Modular exponentiation.
     pub fn pow_mod(&self, base: &Nat, exp: &Nat, modulus: &Nat) -> Nat {
-        if let Some(JobOutput::PowMod(r)) = self.offload(Job::ModExp {
-            base: base.clone(),
-            exp: exp.clone(),
-            modulus: modulus.clone(),
-        }) {
-            return r;
-        }
         match &self.device {
             Some(d) => d.pow_mod(base, exp, modulus),
             None => {
@@ -387,37 +325,25 @@ impl Session {
         let (device_seconds, energy) = match &self.device {
             Some(d) => {
                 let stats = d.stats();
-                // Device sessions report the device's breakdown. Jobs a
-                // serve-backed session offloaded live in the tallies (the
-                // service attributes their cycles per job), so both views
-                // merge here; for plain device sessions the tallies are
-                // all zero and this is the device view alone.
+                // Device sessions report the device's own breakdown; their
+                // operators run on the device, never through the tallies.
                 by_class = OpClass::ALL
                     .iter()
-                    .enumerate()
-                    .map(|(i, &c)| {
+                    .map(|&c| {
                         (
                             c.name(),
-                            stats.ops_for(c) + tallies[i].ops,
-                            stats.cycles_for(c) as f64 * d.config().cycle_seconds()
-                                + tallies[i].modeled_seconds,
+                            stats.ops_for(c),
+                            stats.cycles_for(c) as f64 * d.config().cycle_seconds(),
                         )
                     })
                     .collect();
-                // Offloaded work ran at the same device power (its LLC
-                // share is attributed service-side, not per session).
-                (
-                    d.seconds() + modeled,
-                    d.energy_joules() + modeled * d.config().power_w,
-                )
+                (d.seconds(), d.energy_joules())
             }
             None => (0.0, cpu_model::energy_joules(modeled)),
         };
         SessionReport {
             kind: self.kind,
             wall_seconds: wall,
-            // For device sessions the tallies hold device-service seconds
-            // (serve offloads), not Xeon-model seconds.
             modeled_cpu_seconds: if self.device.is_some() { 0.0 } else { modeled },
             device_seconds,
             energy_joules: energy,
@@ -529,43 +455,6 @@ mod tests {
         assert!(r.wall_seconds < 1.0, "tiny adds cannot take a second");
         let add_entry = r.by_class.iter().find(|(n, _, _)| *n == "Add/Sub").unwrap();
         assert_eq!(add_entry.1, n);
-    }
-
-    #[test]
-    fn serve_backed_session_matches_software_and_attributes_service_time() {
-        let serve = apc_serve::ServeHandle::start(apc_serve::ServeConfig::default());
-        let sw = Session::software();
-        let s = Session::with_serve(serve.clone());
-        assert_eq!(s.kind(), BackendKind::CambriconP);
-        let a = Nat::power_of_two(3000) - Nat::from(17u64);
-        let b = Nat::power_of_two(2999) + Nat::from(5u64);
-        assert_eq!(s.mul(&a, &b), sw.mul(&a, &b));
-        assert_eq!(s.divrem(&a, &b), sw.divrem(&a, &b));
-        assert_eq!(s.sqrt_rem(&a), sw.sqrt_rem(&a));
-        assert_eq!(s.add(&a, &b), sw.add(&a, &b)); // local host-side op
-        let r = s.report();
-        assert!(r.device_seconds > 0.0, "offloaded kernels must cost device time");
-        assert!(r.wall_seconds > 0.0);
-        let mul_entry = r.by_class.iter().find(|(n, _, _)| *n == "Multiply").unwrap();
-        assert_eq!(mul_entry.1, 1);
-        assert_eq!(serve.metrics().completed, 3, "three kernels offloaded");
-        serve.shutdown();
-    }
-
-    #[test]
-    fn serve_rejection_falls_back_to_the_local_device() {
-        let serve = apc_serve::ServeHandle::start(apc_serve::ServeConfig::default());
-        let s = Session::with_serve(serve.clone());
-        serve.shutdown(); // every future submit is rejected with Shutdown
-        let a = Nat::power_of_two(2000) - Nat::from(7u64);
-        let direct = Session::cambricon_p();
-        assert_eq!(s.mul(&a, &a), direct.mul(&a, &a));
-        assert_eq!(serve.metrics().completed, 0);
-        let r = s.report();
-        assert!(
-            r.device_seconds > 0.0,
-            "fallback work must be accounted on the local device"
-        );
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use crate::bops::BopsTally;
 use crate::config::ArchConfig;
 use crate::converter::{generate_patterns, generate_patterns_sliced};
-use crate::pattern_cache::{self, BlockTables};
 use crate::pe::{pe_pass_sliced_with_patterns, pe_pass_with_patterns};
 use crate::stats::StageCycles;
 use crate::transform::{reversed_x_slice, reversed_x_words, to_limb_vector, to_limb_words};
@@ -251,53 +250,23 @@ impl Accelerator {
         //
         // The per-block Converter tables (Fig. 8) depend on x alone, so
         // they are hoisted out of the pass grid — generated once per
-        // block (and, via the pattern cache, once per *operand* across
-        // calls) instead of once per (w, b) pass. The modeled machine is
-        // unchanged: each executed pass still charges its block's full
-        // generation bops, exactly as if its Converter had streamed the
-        // table afresh (§IV-A reuse is a host-side win only; see
-        // `pattern_cache`).
+        // block per call instead of once per (w, b) pass. The modeled
+        // machine is unchanged: each executed pass still charges its
+        // block's full generation bops, exactly as if its Converter had
+        // streamed the table afresh (§IV-A reuse is a host-side win only).
         let backend = self.effective_backend();
         let passes = if backend == KernelBackend::Sliced64 {
             let xw = to_limb_words(x, l);
             let yw = to_limb_words(y, l);
             debug_assert_eq!(xw.len(), xs.len());
             debug_assert_eq!(yw.len(), ys.len());
-            let tables = pattern_cache::fetch_or_build(
-                x.limbs(),
-                self.config.q,
-                l,
-                backend,
-                || {
-                    BlockTables::Sliced(
-                        (0..blocks)
-                            .map(|b| {
-                                let block: Vec<Limb> = (0..q)
-                                    .map(|j| xw.get(b * q + j).copied().unwrap_or(0))
-                                    .collect();
-                                if block.iter().all(|&v| v == 0) {
-                                    None // all-zero block: every pass skips it
-                                } else {
-                                    Some(generate_patterns_sliced(&block, u64::from(l)))
-                                }
-                            })
-                            .collect(),
-                    )
-                },
-            );
-            let block_table = |b: usize| -> Option<&(Vec<Limb>, u64)> {
-                // The cache key includes the backend, so the variant
-                // always matches the dispatch arm that built it.
-                match &*tables {
-                    BlockTables::Sliced(v) => v.get(b).and_then(Option::as_ref),
-                    BlockTables::Scalar(_) => None,
-                }
-            };
-            debug_assert!(matches!(&*tables, BlockTables::Sliced(v) if v.len() == blocks));
+            let tables = block_tables(&xw, q, |block| {
+                generate_patterns_sliced(block, u64::from(l))
+            });
             let run_pass = |i: usize| -> Option<(Nat, BopsTally)> {
                 let (w, b) = (i / blocks, i % blocks);
                 // All-zero pattern blocks have no table and no pass.
-                let (patterns, generation_bops) = block_table(b)?;
+                let (patterns, generation_bops) = tables[b].as_ref()?;
                 // IPU k serves output position t = w·N_IPU + k with the
                 // reversed y-slice, flattened k-major for the sliced pass.
                 let mut ys_flat: Vec<Limb> = Vec::with_capacity(n_ipu * q);
@@ -319,47 +288,15 @@ impl Accelerator {
             };
             apc_bignum::par::map_indexed(windows * blocks, parallel, &run_pass)
         } else {
-            let tables = pattern_cache::fetch_or_build(
-                x.limbs(),
-                self.config.q,
-                l,
-                backend,
-                || {
-                    BlockTables::Scalar(
-                        (0..blocks)
-                            .map(|b| {
-                                let block: Vec<Nat> = (0..q)
-                                    .map(|j| {
-                                        xs.get(b * q + j).cloned().unwrap_or_else(Nat::zero)
-                                    })
-                                    .collect();
-                                if block.iter().all(Nat::is_zero) {
-                                    None // all-zero block: every pass skips it
-                                } else {
-                                    Some(
-                                        generate_patterns(&block, u64::from(l))
-                                            // apc-lint: allow(L2) -- q <= 16 (ArchConfig) and every limb <= L bits (to_limb_vector), so the Converter preconditions hold by construction
-                                            .expect("Converter preconditions hold by construction"),
-                                    )
-                                }
-                            })
-                            .collect(),
-                    )
-                },
-            );
-            let block_table = |b: usize| -> Option<&crate::converter::Patterns> {
-                // The cache key includes the backend, so the variant
-                // always matches the dispatch arm that built it.
-                match &*tables {
-                    BlockTables::Scalar(v) => v.get(b).and_then(Option::as_ref),
-                    BlockTables::Sliced(_) => None,
-                }
-            };
-            debug_assert!(matches!(&*tables, BlockTables::Scalar(v) if v.len() == blocks));
+            let tables = block_tables(&xs, q, |block| {
+                generate_patterns(block, u64::from(l))
+                    // apc-lint: allow(L2) -- q <= 16 (ArchConfig) and every limb <= L bits (to_limb_vector), so the Converter preconditions hold by construction
+                    .expect("Converter preconditions hold by construction")
+            });
             let run_pass = |i: usize| -> Option<(Nat, BopsTally)> {
                 let (w, b) = (i / blocks, i % blocks);
                 // All-zero pattern blocks have no table and no pass.
-                let patterns = block_table(b)?;
+                let patterns = tables[b].as_ref()?;
                 // IPU k serves output position t = w·N_IPU + k with the
                 // reversed y-slice (y_{t−qb}, …, y_{t−qb−q+1}).
                 let ys_per_ipu: Vec<Vec<Nat>> = (0..n_ipu)
@@ -429,6 +366,27 @@ impl Accelerator {
             pe_slots,
         }
     }
+}
+
+/// The per-block Converter tables (Fig. 8) of one operand's limbs: each
+/// block of `q` limbs (the last zero-padded) is built once; an all-zero
+/// block gets `None`, since every pass skips it.
+fn block_tables<L: Clone + Default + PartialEq, T>(
+    limbs: &[L],
+    q: usize,
+    build: impl Fn(&[L]) -> T,
+) -> Vec<Option<T>> {
+    limbs
+        .chunks(q)
+        .map(|chunk| {
+            if chunk.iter().all(|v| *v == L::default()) {
+                return None;
+            }
+            let mut block = chunk.to_vec();
+            block.resize(q, L::default());
+            Some(build(&block))
+        })
+        .collect()
 }
 
 /// Outcome of a structural addition over the chained GUs (§V-C).

@@ -1,367 +1,30 @@
-//! Operand-keyed BIPS pattern-table cache (Fig. 8, §IV-A data reuse
-//! carried across invocations).
+//! Counter surface of the former cross-call BIPS pattern-table cache.
 //!
-//! The Converter's 2^q subset-sum table (Fig. 8) is a function of one
-//! operand only — never of the index operand y — so a caller that
-//! multiplies by the same x repeatedly (a fixed RSA modulus, a shared
-//! zkcm base) regenerates identical tables on every call. This module
-//! memoizes the per-block tables of [`crate::accelerator::Accelerator::
-//! multiply`] behind an operand digest, with `apc_sim::Lru` replacement.
+//! **Nothing is cached.** [`crate::accelerator::Accelerator::multiply`]
+//! builds each block's Fig. 8 subset-sum table once per call and replays
+//! it across that call's output windows, exactly as the Converter streams
+//! it on every pass (§IV-A). Keeping tables across calls saved only the
+//! 2^q words per block that each call's PE-pass grid dwarfs, and measured
+//! no faster than rebuilding them, so that store was removed.
 //!
-//! **The cache is host-side only.** Like the Sliced64 backend, it changes
-//! which host instructions run, never the modeled machine: every executed
-//! PE pass still charges the full Fig. 9b pattern-generation bops to its
-//! tally (the hardware Converter streams on every pass), so cached and
-//! uncached runs are bit-identical in results, cycles, [`crate::stats::
-//! StageCycles`] and [`crate::bops::BopsTally`] — enforced by the tier-1
-//! `tests/cache_gate.rs`.
-//!
-//! Runtime control: the `APC_PATTERN_CACHE` environment variable seeds
-//! the switch (`off`/`0`/`false` disables; anything else — including
-//! unset — enables), `APC_PATTERN_CACHE_CAP` the entry capacity, and
-//! [`set_enabled`] flips it at runtime (tests compare both states in one
-//! process). Hit/miss/insert/eviction counters are recorded only while
-//! `apc_trace::enabled()` is set — the observability layer's
-//! zero-perturbation contract extends to the cache: with tracing off the
-//! hot path performs no shared-cacheline writes.
+//! The module remains only because the `sim_structural` benchmark
+//! workload still reads `clear` and `counters` for its
+//! `core.pattern_cache.hit_rate` layer metric, which now truthfully reads
+//! 0. It goes once that metric is dropped from the benchmark.
 
-use crate::accelerator::KernelBackend;
-use crate::converter::Patterns;
-use apc_bignum::limb::Limb;
-use apc_sim::lru::Lru;
-use apc_trace::export::Metric;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-/// Per-block Converter tables for one operand under one (q, L, backend)
-/// configuration — the hoisted Fig. 9b outputs one [`crate::accelerator::
-/// Accelerator::multiply`] call replays across its output windows.
-///
-/// `None` marks an all-zero pattern block: the pass-skip predicate
-/// (§VII sparsity) never executes a pass on it, so no table exists —
-/// matching the uncached path, which never generates one either.
-#[derive(Debug)]
-pub enum BlockTables {
-    /// Scalar-backend tables: one [`Patterns`] (value + generation tally)
-    /// per non-zero block.
-    Scalar(Vec<Option<Patterns>>),
-    /// Sliced64-backend tables: per non-zero block, the 2^q pattern words
-    /// and the recorded generation bops (Fig. 9b reuse-tree cost).
-    Sliced(Vec<Option<(Vec<Limb>, u64)>>),
-}
-
-/// One resident cache entry: the digest's key material (verified on every
-/// hit — a digest collision must never alias two operands, bit-exactness
-/// is the §IV-B contract) plus the shared tables.
-struct Entry {
-    q: u32,
-    limb_bits: u32,
-    backend: KernelBackend,
-    operand: Vec<Limb>,
-    tables: Arc<BlockTables>,
-}
-
-struct CacheInner {
-    lru: Lru,
-    entries: HashMap<u64, Entry>,
-}
-
-/// Counter snapshot for reports and the tier-1 gates (§VII measurement
-/// honesty: the bench records the hit rate it actually observed).
+/// Fig. 8 table-lookup counters; always zero, since no lookup happens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheCounters {
     /// Lookups answered from a resident table.
     pub hits: u64,
-    /// Lookups that had to generate (cold, collided, or capacity-evicted
-    /// earlier).
+    /// Lookups that had to generate a table.
     pub misses: u64,
-    /// Entries inserted after a miss.
-    pub inserts: u64,
-    /// Entries displaced by LRU replacement.
-    pub evictions: u64,
 }
 
-impl CacheCounters {
-    /// Hits over lookups, 0 when nothing was looked up (the §VII
-    /// repeated-operand reuse ratio the bench reports).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
+/// No-op: no Fig. 8 table outlives its call, so nothing is resident.
+pub fn clear() {}
 
-// Statistic counters (Relaxed is correct: nothing gates on them — L12),
-// recorded only while tracing is enabled.
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static INSERTS: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-fn record(counter: &AtomicU64) {
-    // Zero-perturbation gate: with tracing off, a lookup performs no
-    // shared-cacheline write (the flag load is read-only traffic).
-    if apc_trace::enabled() {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The process-wide cache switch. Seeded once from `APC_PATTERN_CACHE`;
-/// Acquire/Release because the flag gates whether lookups touch the
-/// shared table state at all (L12: this is a gate, not a statistic).
-fn switch() -> &'static AtomicBool {
-    static CACHE_SWITCH: OnceLock<AtomicBool> = OnceLock::new();
-    CACHE_SWITCH.get_or_init(|| {
-        let on = !matches!(
-            std::env::var("APC_PATTERN_CACHE")
-                .map(|v| v.to_ascii_lowercase())
-                .as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        );
-        AtomicBool::new(on)
-    })
-}
-
-/// Whether [`fetch_or_build`] consults the shared cache (Fig. 8 reuse
-/// across invocations) or rebuilds unconditionally.
-pub fn enabled() -> bool {
-    switch().load(Ordering::Acquire)
-}
-
-/// Flips the cache switch at runtime (overrides the `APC_PATTERN_CACHE`
-/// seed). Used by the tier-1 gates to compare cached and uncached runs
-/// of the same Fig. 9a workload within one process.
-pub fn set_enabled(on: bool) {
-    switch().store(on, Ordering::Release);
-}
-
-/// Entry capacity: `APC_PATTERN_CACHE_CAP` (≥ 1), default 64 operands —
-/// sized for serving working sets (a few tenants' moduli/bases), not for
-/// unbounded churn.
-fn capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("APC_PATTERN_CACHE_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c >= 1)
-            .unwrap_or(64)
-    })
-}
-
-fn cache() -> &'static Mutex<CacheInner> {
-    static CACHE: OnceLock<Mutex<CacheInner>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(CacheInner {
-            lru: Lru::new(capacity()),
-            entries: HashMap::with_capacity(capacity()),
-        })
-    })
-}
-
-fn lock_cache() -> std::sync::MutexGuard<'static, CacheInner> {
-    // Poison only means a panicking thread released the lock mid-way; all
-    // transitions below leave the lru/entries pair consistent, so recover.
-    cache().lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// FNV-1a 64-bit over the operand limbs and the (q, L, backend)
-/// configuration — the cache key. Collisions are tolerated (the entry
-/// stores its key material and is verified on hit), they just cost a
-/// rebuild.
-fn digest(operand: &[Limb], q: u32, limb_bits: u32, backend: KernelBackend) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    mix(operand.len() as u64);
-    for &w in operand {
-        mix(w);
-    }
-    mix(u64::from(q));
-    mix(u64::from(limb_bits));
-    mix(match backend {
-        KernelBackend::Scalar => 1,
-        KernelBackend::Sliced64 => 2,
-    });
-    h
-}
-
-fn entry_matches(
-    e: &Entry,
-    operand: &[Limb],
-    q: u32,
-    limb_bits: u32,
-    backend: KernelBackend,
-) -> bool {
-    e.q == q && e.limb_bits == limb_bits && e.backend == backend && e.operand == operand
-}
-
-/// Looks up the per-block tables for `operand` under (q, L, backend),
-/// generating and inserting them via `build` on a miss — the Fig. 8
-/// Converter output, reused across invocations like ARCHITECT reuses
-/// iterative-kernel state.
-///
-/// `operand` is the multiplicand's canonical limb representation (the
-/// key material; stored to guard against digest collisions). With the
-/// cache disabled this is exactly `Arc::new(build())` — no shared state
-/// is read or written.
-pub fn fetch_or_build(
-    operand: &[Limb],
-    q: u32,
-    limb_bits: u32,
-    backend: KernelBackend,
-    build: impl FnOnce() -> BlockTables,
-) -> Arc<BlockTables> {
-    if !enabled() {
-        return Arc::new(build());
-    }
-    let key = digest(operand, q, limb_bits, backend);
-    {
-        let mut inner = lock_cache();
-        if let Some(e) = inner.entries.get(&key) {
-            if entry_matches(e, operand, q, limb_bits, backend) {
-                let tables = Arc::clone(&e.tables);
-                inner.lru.touch(key);
-                record(&HITS);
-                return tables;
-            }
-            // Digest collision with different key material: fall through
-            // to a rebuild that replaces the resident entry.
-        }
-    }
-    // Build outside the lock so concurrent submitters generating
-    // different operands never serialize on each other's Converter work.
-    record(&MISSES);
-    let tables = Arc::new(build());
-    let entry = Entry {
-        q,
-        limb_bits,
-        backend,
-        operand: operand.to_vec(),
-        tables: Arc::clone(&tables),
-    };
-    let mut inner = lock_cache();
-    let (resident, evicted) = inner.lru.touch_evicting(key);
-    if let Some(victim) = evicted {
-        inner.entries.remove(&victim);
-        record(&EVICTIONS);
-    }
-    // `resident` means a racing builder (or a collided entry) already
-    // holds this digest; either way the freshest tables win.
-    let _ = resident;
-    inner.entries.insert(key, entry);
-    record(&INSERTS);
-    tables
-}
-
-/// Empties the cache (counters are monotone and unaffected). Tests and
-/// benches call this between phases so recorded §VII hit rates describe
-/// one workload, not the process history; it is also the invalidation
-/// hook for an arch-config change (the Fig. 9a (q, L) pair is part of
-/// every key, so stale entries can only miss — clearing just frees them).
-pub fn clear() {
-    let mut inner = lock_cache();
-    inner.entries.clear();
-    inner.lru = Lru::new(capacity());
-}
-
-/// Resident entry count — one per cached Fig. 8 table set (the gates'
-/// consistency check: the LRU and the entry map must shadow each other).
-pub fn len() -> usize {
-    let inner = lock_cache();
-    debug_assert_eq!(inner.lru.len(), inner.entries.len());
-    inner.entries.len()
-}
-
-/// Counter snapshot (monotone since process start; subtract two
-/// snapshots to attribute a phase — the §VII-B snapshot/delta idiom).
+/// Fig. 8 table-lookup counter snapshot: all zeros.
 pub fn counters() -> CacheCounters {
-    CacheCounters {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        inserts: INSERTS.load(Ordering::Relaxed),
-        evictions: EVICTIONS.load(Ordering::Relaxed),
-    }
-}
-
-/// The cache counters as `apc_core_pattern_cache_*` metric families —
-/// joined into `GET /metrics` by the network layer next to the
-/// `apc_serve_*`/`apc_net_*` families (§VII measurement surface).
-pub fn export_metrics() -> Vec<Metric> {
-    let c = counters();
-    vec![
-        Metric::counter(
-            "apc_core_pattern_cache_hits_total",
-            "Pattern-table lookups answered from a resident entry",
-            c.hits,
-        ),
-        Metric::counter(
-            "apc_core_pattern_cache_misses_total",
-            "Pattern-table lookups that regenerated (cold or evicted)",
-            c.misses,
-        ),
-        Metric::counter(
-            "apc_core_pattern_cache_inserts_total",
-            "Pattern-table entries inserted after a miss",
-            c.inserts,
-        ),
-        Metric::counter(
-            "apc_core_pattern_cache_evictions_total",
-            "Pattern-table entries displaced by LRU replacement",
-            c.evictions,
-        ),
-        Metric::gauge(
-            "apc_core_pattern_cache_entries",
-            "Resident pattern-table entries",
-            len() as f64,
-        ),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // Behavioral tests (hit/miss/eviction, enabled/disabled, consistency
-    // under concurrent submit) live in the tier-1 `tests/cache_gate.rs`,
-    // which serializes access to this process-global state; unit tests
-    // here stay pure so they can run concurrently with the accelerator
-    // tests that exercise the cache.
-
-    #[test]
-    fn digest_separates_configs_and_operands() {
-        let a = [1u64, 2, 3];
-        let b = [1u64, 2, 4];
-        assert_ne!(
-            digest(&a, 4, 32, KernelBackend::Sliced64),
-            digest(&b, 4, 32, KernelBackend::Sliced64)
-        );
-        assert_ne!(
-            digest(&a, 4, 32, KernelBackend::Sliced64),
-            digest(&a, 2, 32, KernelBackend::Sliced64)
-        );
-        assert_ne!(
-            digest(&a, 4, 32, KernelBackend::Sliced64),
-            digest(&a, 4, 16, KernelBackend::Sliced64)
-        );
-        assert_ne!(
-            digest(&a, 4, 32, KernelBackend::Sliced64),
-            digest(&a, 4, 32, KernelBackend::Scalar)
-        );
-    }
-
-    #[test]
-    fn hit_rate_is_zero_without_lookups_and_ratio_with() {
-        assert_eq!(CacheCounters::default().hit_rate(), 0.0);
-        let c = CacheCounters { hits: 9, misses: 1, inserts: 1, evictions: 0 };
-        assert!((c.hit_rate() - 0.9).abs() < 1e-12);
-    }
+    CacheCounters::default()
 }

@@ -24,8 +24,7 @@
 //!   and typed [`NetError`];
 //! - [`Router`]: N `Device`-backed `ServeHandle` shards behind an
 //!   FNV-1a consistent-hash ring keyed on the operand's power-of-two
-//!   bucket, so repeated operand shapes keep landing on the same shard
-//!   (the affinity a future BIPS pattern cache will exploit).
+//!   bucket, so repeated operand shapes keep landing on the same shard.
 //!
 //! Results over the wire are **bit-identical** to direct `Device`
 //! execution: the wire carries exact limbs both ways and the serving

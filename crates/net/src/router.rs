@@ -9,9 +9,7 @@
 //!
 //! - capacity scales horizontally — every shard owns its own queue and
 //!   worker devices (each worker pulls its batches from that queue);
-//! - *repeated operand shapes land on the same shard*, which is the
-//!   affinity a future BIPS pattern cache needs (same-shaped operands
-//!   re-hit the shard whose devices already hold their bit patterns);
+//! - repeated operand shapes land on the same shard;
 //! - adding or removing a shard remaps only the ring arcs it owned,
 //!   not the whole keyspace (the classic consistent-hashing property);
 //! - a shard whose service has shut down is evicted from the ring at

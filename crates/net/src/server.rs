@@ -172,13 +172,11 @@ impl<B: NetBackend + Send + Sync + 'static> NetServer<B> {
         &self.shared.metrics
     }
 
-    /// Listener counters plus the backend's families and the device
-    /// model's pattern-table cache counters — exactly what a
+    /// Listener counters plus the backend's families — exactly what a
     /// `GET /metrics` scrape renders.
     pub fn export_metrics(&self) -> Vec<Metric> {
         let mut out = self.shared.metrics.export_metrics();
         out.extend(self.shared.backend.export_backend_metrics());
-        out.extend(cambricon_p::pattern_cache::export_metrics());
         out
     }
 
@@ -345,9 +343,11 @@ fn read_full<B: NetBackend>(
             Ok(0) => return Err(()),
             Ok(n) => filled += n,
             Err(e) if is_timeout(&e) => {
-                // Mid-frame timeouts only end the connection on drain;
-                // otherwise they are the poll tick (L7: no sleep).
-                if shared.shutdown.load(Ordering::Acquire) && filled == 0 {
+                // On drain a timeout ends the connection even mid-frame:
+                // a half-received frame has admitted no job, and a peer
+                // that is still sending never reaches a timeout tick.
+                // Otherwise timeouts are the poll tick (L7: no sleep).
+                if shared.shutdown.load(Ordering::Acquire) {
                     return Err(());
                 }
             }
@@ -445,7 +445,6 @@ fn serve_http<B: NetBackend>(shared: &Shared<B>, stream: &mut TcpStream) {
         bump(&shared.metrics.metrics_scrapes);
         let mut metrics = shared.metrics.export_metrics();
         metrics.extend(shared.backend.export_backend_metrics());
-        metrics.extend(cambricon_p::pattern_cache::export_metrics());
         ("200 OK", to_prometheus(&metrics))
     } else {
         ("404 Not Found", String::from("not found\n"))

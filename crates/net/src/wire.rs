@@ -883,4 +883,140 @@ mod tests {
         let encoded = encode_response(&resp);
         assert!((encoded.len() as u64) <= response_frame_cap(max_bits));
     }
+
+    /// A decoder under test, reduced to its verdict.
+    type Decoder = fn(&[u8]) -> Result<(), WireError>;
+
+    /// Offsets of the limb-count fields of the `nats` operands from `at`.
+    fn count_offsets(payload: &[u8], mut at: usize, nats: usize) -> Vec<usize> {
+        let mut offsets = Vec::new();
+        for _ in 0..nats {
+            offsets.push(at);
+            let mut count = [0u8; 4];
+            count.copy_from_slice(&payload[at..at + 4]);
+            at += 4 + 8 * u32::from_le_bytes(count) as usize;
+        }
+        offsets
+    }
+
+    /// Valid payloads of every frame kind, job and response body, each
+    /// with its decoder and the offsets of its limb-count fields.
+    fn seed_corpus() -> Vec<(Decoder, Vec<u8>, Vec<usize>)> {
+        let hello: Decoder = |p| decode_hello(p).map(drop);
+        let request: Decoder = |p| decode_request(p).map(drop);
+        let response: Decoder = |p| decode_response(p).map(drop);
+        let mut corpus = Vec::new();
+        for token in [&b""[..], b"tenant-42", &[0xA5; MAX_TOKEN_LEN]] {
+            corpus.push((hello, encode_hello(&Hello { token: token.to_vec() }), vec![]));
+        }
+        let jobs = [
+            (Job::Mul { a: nat(100, 7), b: nat(65, 3) }, 2),
+            (Job::Div { a: nat(300, 1), b: nat(90, 5) }, 2),
+            (Job::Sqrt { a: nat(513, 9) }, 1),
+            (Job::ModExp { base: nat(64, 2), exp: nat(10, 0), modulus: nat(128, 1) }, 3),
+            (Job::Mul { a: Nat::zero(), b: nat(1, 0) }, 2),
+        ];
+        for (job, nats) in jobs {
+            let payload = encode_request(&Request { req_id: 4, job });
+            let counts = count_offsets(&payload, 11, nats);
+            corpus.push((request, payload, counts));
+        }
+        let outputs = [
+            (JobOutput::Product(nat(200, 3)), 1),
+            (JobOutput::DivRem { quotient: nat(64, 1), remainder: Nat::zero() }, 2),
+            (JobOutput::SqrtRem { root: nat(32, 0), remainder: nat(5, 4) }, 2),
+            (JobOutput::PowMod(nat(127, 6)), 1),
+        ];
+        for (output, nats) in outputs {
+            let body = ResponseBody::Output(output);
+            let payload = encode_response(&Response { req_id: 5, body });
+            let counts = count_offsets(&payload, 12, nats);
+            corpus.push((response, payload, counts));
+        }
+        let bodies = [
+            ResponseBody::Ack,
+            ResponseBody::Rejected(Rejection::QueueFull { capacity: 256 }),
+            ResponseBody::Rejected(Rejection::Shutdown),
+            ResponseBody::Rejected(Rejection::OversizedOperand { bits: 1 << 20, max_bits: 64 }),
+            ResponseBody::Rejected(Rejection::InvalidJob("modulus must be odd".into())),
+            ResponseBody::Failed(WireStatus::AuthRejected),
+            ResponseBody::Failed(WireStatus::UnsupportedVersion),
+            ResponseBody::Failed(WireStatus::MalformedFrame),
+            ResponseBody::Failed(WireStatus::OversizedFrame),
+            ResponseBody::Failed(WireStatus::Internal),
+        ];
+        for body in bodies {
+            corpus.push((response, encode_response(&Response { req_id: 6, body }), vec![]));
+        }
+        corpus
+    }
+
+    /// Runs every decoder on `payload`. None may panic, and whatever
+    /// decodes re-encodes no larger than the payload, so no declared
+    /// length drove an allocation past the bytes that arrived.
+    fn decode_everything(payload: &[u8], case: usize) {
+        let sizes = std::panic::catch_unwind(|| {
+            [
+                decode_hello(payload).map(|h| encode_hello(&h).len()),
+                decode_request(payload).map(|r| encode_request(&r).len()),
+                decode_response(payload).map(|r| encode_response(&r).len()),
+            ]
+        })
+        .unwrap_or_else(|_| panic!("case {case}: decoding {payload:02x?} panicked"));
+        for size in sizes.into_iter().flatten() {
+            assert!(size <= payload.len(), "case {case}: {payload:02x?} decoded to {size} bytes");
+        }
+    }
+
+    #[test]
+    fn seeded_mutations_never_panic_the_decoders() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let corpus = seed_corpus();
+        let mut cases = 0;
+        for (decode, payload, _) in &corpus {
+            assert_eq!(decode(payload), Ok(()), "seed must decode");
+            for len in 0..payload.len() {
+                decode_everything(&payload[..len], cases);
+                cases += 1;
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0x5EED_F022);
+        for round in 0..24_000usize {
+            let (decode, seed, counts) = &corpus[round % corpus.len()];
+            let mut m = seed.clone();
+            match round % 3 {
+                0 => {
+                    for _ in 0..rng.gen_range(1..=4) {
+                        let at = rng.gen_range(0..=m.len());
+                        m.insert(at, rng.gen());
+                    }
+                }
+                // A limb count the payload cannot hold must fail on the
+                // length check, before any allocation of that size.
+                1 if !counts.is_empty() => {
+                    let at = counts[rng.gen_range(0..counts.len())];
+                    let room = ((m.len() - at - 4) / 8) as u32;
+                    let huge = match rng.gen_range(0..4) {
+                        0 => u32::MAX,
+                        1 => u32::MAX / 8 + 1,
+                        2 => room + 1,
+                        _ => rng.gen_range(room + 1..=u32::MAX),
+                    };
+                    m[at..at + 4].copy_from_slice(&huge.to_le_bytes());
+                    assert_eq!(decode(&m), Err(WireError::LengthMismatch), "count {huge}");
+                }
+                _ => {
+                    for _ in 0..rng.gen_range(1..=3) {
+                        let at = rng.gen_range(0..m.len());
+                        m[at] ^= 1 << rng.gen_range(0..8);
+                    }
+                }
+            }
+            decode_everything(&m, cases);
+            cases += 1;
+        }
+        assert!(cases >= 20_000, "only {cases} mutations ran");
+    }
 }

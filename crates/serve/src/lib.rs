@@ -11,7 +11,7 @@
 //! - a **bounded FIFO submission queue** with explicit admission control
 //!   — rejections are typed ([`SubmitError`]), never a panic, never a
 //!   silent drop. One mutex guards the per-bucket staging deques (see
-//!   the `queue` module and DESIGN.md §"Admission and caching");
+//!   the `queue` module and DESIGN.md §"Admission and table reuse");
 //! - **batch formation by the workers themselves**: each free worker
 //!   takes up to `batch_max` jobs of one operand-bitwidth bucket from the
 //!   queue and runs them on its own `Device` (see DESIGN.md §"Serving

@@ -5,7 +5,7 @@
 //! batch a worker receives holds jobs of compatible size — the host-side
 //! analogue of packing same-shape work onto the PE array to keep the
 //! IPUs busy (the paper's §VII utilization argument; see DESIGN.md
-//! §"Serving layer" and §"Admission and caching").
+//! §"Serving layer" and §"Admission and table reuse").
 //!
 //! # One mutex, one condvar
 //!

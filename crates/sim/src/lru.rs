@@ -78,22 +78,12 @@ impl Lru {
     /// evicting the least recently used line if full. Either way `key`
     /// becomes most recently used.
     pub fn touch(&mut self, key: u64) -> bool {
-        self.touch_evicting(key).0
-    }
-
-    /// [`Lru::touch`] that also reports the evicted victim key, when the
-    /// miss displaced one. Callers that shadow the resident set in a side
-    /// table (e.g. a cache whose values live in a map keyed by the same
-    /// line address) need the victim to keep both structures consistent —
-    /// `touch` alone evicts silently.
-    pub fn touch_evicting(&mut self, key: u64) -> (bool, Option<u64>) {
         if let Some(&idx) = self.map.get(&key) {
             self.unlink(idx);
             self.push_front(idx);
-            return (true, None);
+            return true;
         }
         // Miss: evict if needed.
-        let mut evicted = None;
         if self.map.len() >= self.capacity {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL);
@@ -101,7 +91,6 @@ impl Lru {
             self.unlink(victim);
             self.map.remove(&victim_key);
             self.free.push(victim);
-            evicted = Some(victim_key);
         }
         let idx = if let Some(idx) = self.free.pop() {
             self.nodes[idx] = Node {
@@ -120,7 +109,7 @@ impl Lru {
         };
         self.map.insert(key, idx);
         self.push_front(idx);
-        (false, evicted)
+        false
     }
 
     fn unlink(&mut self, idx: usize) {
@@ -200,17 +189,6 @@ mod tests {
                 assert!(c.touch(i), "round {round} line {i}");
             }
         }
-    }
-
-    #[test]
-    fn touch_evicting_reports_the_victim_and_only_the_victim() {
-        let mut c = Lru::new(2);
-        assert_eq!(c.touch_evicting(1), (false, None), "cold miss, room left");
-        assert_eq!(c.touch_evicting(2), (false, None), "fills to capacity");
-        assert_eq!(c.touch_evicting(1), (true, None), "hit never evicts");
-        // Miss at capacity: the LRU line (2) is the reported victim.
-        assert_eq!(c.touch_evicting(3), (false, Some(2)));
-        assert!(c.touch(1) && c.touch(3) && !c.touch(2));
     }
 
     #[test]

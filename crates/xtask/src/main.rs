@@ -7,8 +7,8 @@
 //!   `--json`, emits one stable machine-readable object (schema:
 //!   `root`, `count`, `findings[{rule, path, line, message, allowed}]`).
 //! - `ci` — run the full tier-1 gate (release build, tests across the
-//!   kernel-backend × feature matrix plus a pattern-cache-off pass, then
-//!   lint) and print a one-line PASS/FAIL summary.
+//!   kernel-backend × feature matrix, then lint) and print a one-line
+//!   PASS/FAIL summary.
 //! - `rules` — list the lint rules.
 
 #![forbid(unsafe_code)]
@@ -129,21 +129,17 @@ fn json_escape(s: &str) -> String {
 /// the kernel-backend × feature matrix (`APC_KERNEL_BACKEND` set to
 /// `sliced64` and `scalar`, each with and without the `parallel`
 /// feature, so every Device path runs under both kernel engines and both
-/// dispatchers), a cache-off pass (`APC_PATTERN_CACHE=off`, so every
-/// structural path is also exercised with the pattern-table cache
-/// force-disabled — the transparency contract from the other side), then
-/// in-process lint — and prints a one-line summary. The workspace's
-/// `default-members` cover every crate, so each build and test leg also
-/// builds every member's binaries and runs every member's tests. Stops at
-/// the first failing step so the summary names the culprit.
+/// dispatchers), then in-process lint — and prints a one-line summary.
+/// The workspace's `default-members` cover every crate, so each build and
+/// test leg also builds every member's binaries and runs every member's
+/// tests. Stops at the first failing step so the summary names the
+/// culprit.
 fn ci() -> ExitCode {
     const BACKEND_ENV: &str = "APC_KERNEL_BACKEND";
-    const CACHE_ENV: &str = "APC_PATTERN_CACHE";
-    let steps: [(&str, &[&str], &[(&str, &str)]); 7] = [
+    let steps: [(&str, &[&str], &[(&str, &str)]); 6] = [
         ("build", &["build", "--release"], &[]),
         ("test(sliced64)", &["test", "-q"], &[(BACKEND_ENV, "sliced64")]),
         ("test(scalar)", &["test", "-q"], &[(BACKEND_ENV, "scalar")]),
-        ("test(cache off)", &["test", "-q"], &[(CACHE_ENV, "off")]),
         ("build(parallel)", &["build", "--release", "--features", "parallel"], &[]),
         (
             "test(parallel,sliced64)",
@@ -182,8 +178,7 @@ fn ci() -> ExitCode {
     match xtask::lint_tree(&root) {
         Ok(v) if v.is_empty() => {
             println!(
-                "ci: PASS (build, test x {{sliced64,scalar}} x {{default,parallel}}, \
-                 test x cache-off, lint)"
+                "ci: PASS (build, test x {{sliced64,scalar}} x {{default,parallel}}, lint)"
             );
             ExitCode::SUCCESS
         }

@@ -112,10 +112,9 @@ fn l12_audits_the_vendored_pool() {
     assert_eq!(pool_findings, 2, "latch store + probe: {v:#?}");
 }
 
-/// The cache gate flag is a workspace flag like any other: both relaxed
+/// A cache gate flag is a workspace flag like any other: both relaxed
 /// accesses on the pattern-cache switch in the l12 fixture surface, while
-/// the real `crates/core` cache (Acquire/Release gate, allow-justified
-/// statistic counters) stays clean under `good_fixture_is_clean`.
+/// the relaxed hit statistic beside them is not flagged.
 #[test]
 fn l12_flags_the_relaxed_cache_gate() {
     let v = lint_tree(&fixture("bad/l12")).expect("lint_tree runs on fixture");

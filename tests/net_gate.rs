@@ -14,7 +14,8 @@
 //!    the typed `AuthRejected` status before any operand is sent.
 //! 4. **Graceful drain** — shutdown lets in-flight connections finish:
 //!    a request already accepted still receives its (bit-exact)
-//!    response, and only then does the listener go away.
+//!    response, and only then does the listener go away. A peer that
+//!    sent part of a frame and went quiet cannot hold the drain open.
 
 use apc_bignum::Nat;
 use apc_net::{
@@ -25,6 +26,7 @@ use cambricon_p::Device;
 use rand::{Rng, RngCore, SeedableRng};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 const TOKEN: &[u8] = b"tenant-alpha";
 
@@ -184,7 +186,7 @@ fn shutdown_drains_in_flight_connections() {
     });
     // Give the client thread time to get its request admitted, then
     // drain. (Sleeping in tests is fine; the library itself never does.)
-    std::thread::sleep(std::time::Duration::from_millis(100));
+    std::thread::sleep(Duration::from_millis(100));
     server.shutdown();
 
     let got = handle.join().expect("client thread").expect("in-flight request completes");
@@ -196,4 +198,50 @@ fn shutdown_drains_in_flight_connections() {
         NetClient::connect(addr, &client_config()).is_err(),
         "listener survived shutdown"
     );
+}
+
+/// Runs `server.shutdown()` on a helper thread and fails unless it
+/// returns within 5 s, so a drain that hangs fails the test instead of
+/// hanging the suite.
+fn assert_shutdown_finishes(server: NetServer<Router>) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(5))
+        .expect("shutdown() blocked behind a half-sent frame");
+}
+
+#[test]
+fn shutdown_is_not_held_open_by_a_half_sent_preamble() {
+    let server = start_server(1);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    // Two bytes of the four-byte `APCW` preamble, then silence.
+    stream.write_all(b"AP").expect("partial preamble");
+    std::thread::sleep(Duration::from_millis(100));
+    assert_shutdown_finishes(server);
+    drop(stream); // silent, but open, until the drain has finished
+}
+
+#[test]
+fn shutdown_is_not_held_open_by_a_half_sent_request() {
+    let server = start_server(1);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.write_all(&wire::MAGIC).expect("preamble");
+    let hello = wire::encode_hello(&wire::Hello { token: TOKEN.to_vec() });
+    wire::write_frame(&mut stream, &hello).expect("hello");
+    let ack = wire::read_frame(&mut stream, 1 << 16).expect("ack frame");
+    assert_eq!(wire::decode_response(&ack).expect("ack decodes").body, wire::ResponseBody::Ack);
+
+    // A whole length prefix, then half of the payload it announces.
+    let payload = wire::encode_request(&wire::Request {
+        req_id: 1,
+        job: Job::Mul { a: Nat::from(u64::MAX), b: Nat::from(u64::MAX) },
+    });
+    stream.write_all(&(payload.len() as u32).to_le_bytes()).expect("prefix");
+    stream.write_all(&payload[..payload.len() / 2]).expect("half payload");
+    std::thread::sleep(Duration::from_millis(100));
+    assert_shutdown_finishes(server);
+    drop(stream); // silent, but open, until the drain has finished
 }
