@@ -9,11 +9,10 @@
 //!   Toom-k/SSA sub-multiplication parallelism toggled via
 //!   `apc_bignum::par::set_parallel_enabled`.
 //!
-//! A third table (`kernel_backend_compare`) times the Scalar oracle
-//! against the Sliced64 word-parallel kernels on the same sequential PE
-//! grid, and the header records which `kernel_backend` produced the two
-//! tables above; the full sliced sweep with cycle-identity checks lives
-//! in `bench_bitsliced` / `BENCH_bitsliced.json`.
+//! The header records which `kernel_backend` the config selected for the
+//! structural table; the Scalar-vs-Sliced64 kernel sweep with
+//! cycle-identity checks lives in `bench_bitsliced` /
+//! `BENCH_bitsliced.json`.
 //!
 //! Build with `--features parallel` for a real comparison; without the
 //! feature both columns time the same sequential path and the JSON says so
@@ -27,7 +26,7 @@
 
 use apc_bench::{fmt_seconds, header, time_best};
 use apc_bignum::Nat;
-use cambricon_p::accelerator::{Accelerator, KernelBackend};
+use cambricon_p::accelerator::Accelerator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -82,40 +81,6 @@ fn table_header() {
     );
 }
 
-/// One scalar-vs-sliced kernel-backend timing (both columns sequential on
-/// one host thread, so the ratio is the bitslicing win alone).
-struct BackendRow {
-    bits: u64,
-    scalar_seconds: f64,
-    sliced_seconds: f64,
-    identical: bool,
-}
-
-impl BackendRow {
-    fn json(&self) -> String {
-        format!(
-            "{{\"bits\": {}, \"scalar_seconds\": {}, \"sliced_seconds\": {}, \"speedup\": {}, \"bit_identical\": {}}}",
-            self.bits,
-            self.scalar_seconds,
-            self.sliced_seconds,
-            self.scalar_seconds / self.sliced_seconds,
-            self.identical
-        )
-    }
-
-    fn print(&self) {
-        println!(
-            "{:>10} {:>10} {:>12} {:>12} {:>8.2}x {}",
-            self.bits,
-            "backend",
-            fmt_seconds(self.scalar_seconds),
-            fmt_seconds(self.sliced_seconds),
-            self.scalar_seconds / self.sliced_seconds,
-            if self.identical { "exact" } else { "MISMATCH" }
-        );
-    }
-}
-
 fn main() {
     let mut rng = StdRng::seed_from_u64(11);
     let parallel_feature = cfg!(feature = "parallel");
@@ -158,30 +123,6 @@ fn main() {
         accel_rows.push(row);
     }
 
-    // Kernel backends: Scalar oracle vs Sliced64 on the same sequential
-    // PE grid (the sliced table proper, with cycle-identity checks, lives
-    // in bench_bitsliced / BENCH_bitsliced.json).
-    header("Accelerator::multiply_sequential — Scalar vs Sliced64 kernels");
-    let scalar_acc =
-        Accelerator::with_backend(acc.config().clone(), KernelBackend::Scalar);
-    let sliced_acc =
-        Accelerator::with_backend(acc.config().clone(), KernelBackend::Sliced64);
-    let mut backend_rows = Vec::new();
-    for bits in [1024u64, 4096] {
-        let a = Nat::random_exact_bits(bits, &mut rng);
-        let b = Nat::random_exact_bits(bits, &mut rng);
-        let s = scalar_acc.multiply_sequential(&a, &b);
-        let v = sliced_acc.multiply_sequential(&a, &b);
-        let row = BackendRow {
-            bits,
-            scalar_seconds: time_best(5, 10.0, || scalar_acc.multiply_sequential(&a, &b)),
-            sliced_seconds: time_best(20, 10.0, || sliced_acc.multiply_sequential(&a, &b)),
-            identical: s.product == v.product && s.cycles == v.cycles && s.tally == v.tally,
-        };
-        row.print();
-        backend_rows.push(row);
-    }
-
     // Software substrate: Nat multiplication with the Toom-k pointwise
     // products / SSA butterflies dispatched across threads (Fig. 11 sweep
     // sizes in the Toom and SSA regions).
@@ -219,22 +160,16 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"kernel_backend\": \"{}\",",
-        acc.effective_backend().name()
+        acc.kernel().name()
     );
-    for (key, rows) in [("accelerator", &accel_rows), ("software_mul", &sw_rows)] {
+    for (key, rows, sep) in [("accelerator", &accel_rows, ","), ("software_mul", &sw_rows, "")] {
         let _ = writeln!(json, "  \"{key}\": [");
         for (i, row) in rows.iter().enumerate() {
             let comma = if i + 1 < rows.len() { "," } else { "" };
             let _ = writeln!(json, "    {}{comma}", row.json());
         }
-        let _ = writeln!(json, "  ],");
+        let _ = writeln!(json, "  ]{sep}");
     }
-    let _ = writeln!(json, "  \"kernel_backend_compare\": [");
-    for (i, row) in backend_rows.iter().enumerate() {
-        let comma = if i + 1 < backend_rows.len() { "," } else { "" };
-        let _ = writeln!(json, "    {}{comma}", row.json());
-    }
-    let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
 
     let out: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", "BENCH_mul_parallel.json"]
@@ -244,7 +179,6 @@ fn main() {
     println!();
     println!("wrote {}", out.display());
 
-    let all_exact = accel_rows.iter().chain(&sw_rows).all(|r| r.bit_identical)
-        && backend_rows.iter().all(|r| r.identical);
+    let all_exact = accel_rows.iter().chain(&sw_rows).all(|r| r.bit_identical);
     assert!(all_exact, "parallel results diverged from sequential");
 }

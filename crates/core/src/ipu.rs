@@ -101,19 +101,23 @@ pub fn bit_indexed_inner_product(patterns: &Patterns, ys: &[Nat], index_bits: u6
 /// with a subset-split AND network over the q index words (the carry-free
 /// AND/NOT half of the carry-save rewrite; the carries reappear only in
 /// the final per-mask MACs, which are exact in 128-bit arithmetic under
-/// the sliced-support envelope —
-/// [`crate::accelerator::KernelBackend::supports`]).
+/// the sliced-support envelope that
+/// [`crate::accelerator::Accelerator::kernel`] checks).
 ///
 /// Returns the inner product and a [`BopsTally`] **bit-identical** to the
 /// scalar pass: `skipped_zero` is `popcount(I[0])`, and the per-cycle
 /// `weighted_gather` charges regroup into `popcount(I[mask]) ·
 /// bits(pattern[mask])` — the same multiset of u64 additions in a
 /// different order.
+///
+/// `ind` is caller-owned scratch of `patterns.len()` words, fully
+/// overwritten, so a PE pass reuses one buffer across its IPUs.
 pub fn bit_indexed_inner_product_sliced(
     patterns: &[Limb],
     element_bits: u64,
     ys: &[Limb],
     index_bits: u64,
+    ind: &mut [Limb],
 ) -> (u128, BopsTally) {
     let q = crate::cast::usize_from(u64::from(patterns.len().trailing_zeros()));
     debug_assert_eq!(ys.len(), q, "one index word per pattern input");
@@ -124,7 +128,7 @@ pub fn bit_indexed_inner_product_sliced(
     // turn. After processing word i, ind[m] (m < 2^(i+1)) holds the cycles
     // whose low i+1 index bits equal m. 2^(q+1) − 2 word ops total — the
     // "64 bitflow steps per u64 op" collapse.
-    let mut ind: Vec<Limb> = vec![0; 1 << q];
+    debug_assert_eq!(ind.len(), patterns.len(), "one indicator word per pattern");
     ind[0] = active;
     let mut half = 1usize;
     for (i, &y) in ys.iter().enumerate() {
@@ -255,7 +259,8 @@ mod tests {
         let p = generate_patterns(&xs, 16).expect("valid inputs");
         let scalar = bit_indexed_inner_product(&p, &ys, 8);
         let (sliced_patterns, _) = crate::converter::generate_patterns_sliced(&words, 16);
-        let (value, tally) = bit_indexed_inner_product_sliced(&sliced_patterns, 16, &index_words, 8);
+        let (value, tally) =
+            bit_indexed_inner_product_sliced(&sliced_patterns, 16, &index_words, 8, &mut [0; 16]);
         assert_eq!(scalar.value.to_u128(), Some(value));
         assert_eq!(scalar.tally, tally);
     }
@@ -276,7 +281,7 @@ mod tests {
         let scalar = bit_indexed_inner_product(&p, &ys, 54);
         let (sliced_patterns, _) = crate::converter::generate_patterns_sliced(&words, 54);
         let (value, tally) =
-            bit_indexed_inner_product_sliced(&sliced_patterns, 54, &index_words, 54);
+            bit_indexed_inner_product_sliced(&sliced_patterns, 54, &index_words, 54, &mut [0; 16]);
         assert_eq!(scalar.value.to_u128(), Some(value));
         assert_eq!(scalar.tally, tally);
     }
@@ -284,7 +289,8 @@ mod tests {
     #[test]
     fn sliced_zero_index_skips_every_cycle() {
         let (patterns, _) = crate::converter::generate_patterns_sliced(&[123, 456], 16);
-        let (value, tally) = bit_indexed_inner_product_sliced(&patterns, 16, &[0, 0], 32);
+        let (value, tally) =
+            bit_indexed_inner_product_sliced(&patterns, 16, &[0, 0], 32, &mut [0; 4]);
         assert_eq!(value, 0);
         assert_eq!(tally.skipped_zero, 32);
         assert_eq!(tally.weighted_gather, 0);

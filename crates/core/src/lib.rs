@@ -61,7 +61,6 @@ pub mod pe;
 pub mod stats;
 pub mod transform;
 
-pub use accelerator::KernelBackend;
 pub use config::ArchConfig;
 pub use error::ModelError;
 pub use mpapca::Device;

@@ -15,7 +15,6 @@
 //! [`crate::accelerator`] is validated against), while cycles/energy come
 //! from the calibrated analytic model.
 
-use crate::accelerator::KernelBackend;
 use crate::config::ArchConfig;
 use crate::stats::{DeviceStats, OpClass, SharedDeviceStats};
 use apc_bignum::nat::mont::MontgomeryCtx;
@@ -99,18 +98,16 @@ impl MpapcaThresholds {
 pub struct Device {
     config: ArchConfig,
     thresholds: MpapcaThresholds,
-    backend: KernelBackend,
     stats: SharedDeviceStats,
 }
 
 impl Device {
-    /// A device with the given configuration (§VII-A), default thresholds,
-    /// and the environment-selected structural [`KernelBackend`].
+    /// A device with the given configuration (§VII-A) and default
+    /// thresholds.
     pub fn new(config: ArchConfig) -> Device {
         Device {
             config,
             thresholds: MpapcaThresholds::default(),
-            backend: KernelBackend::from_env(),
             stats: SharedDeviceStats::default(),
         }
     }
@@ -124,20 +121,6 @@ impl Device {
     pub fn with_thresholds(mut self, thresholds: MpapcaThresholds) -> Device {
         self.thresholds = thresholds;
         self
-    }
-
-    /// Pins the structural-path [`KernelBackend`] (Fig. 9a host kernels),
-    /// overriding the `APC_KERNEL_BACKEND` selection — both backends
-    /// produce bit-identical results, cycles and statistics; only host
-    /// wall time differs.
-    pub fn with_kernel_backend(mut self, backend: KernelBackend) -> Device {
-        self.backend = backend;
-        self
-    }
-
-    /// The structural-path [`KernelBackend`] in use (§IV-B kernels).
-    pub fn kernel_backend(&self) -> KernelBackend {
-        self.backend
     }
 
     /// The architecture configuration (§VII-A).
@@ -250,7 +233,7 @@ impl Device {
     /// Much slower than [`Device::mul`]; intended for calibration and
     /// observability runs, not application-scale workloads.
     pub fn mul_structural(&self, a: &Nat, b: &Nat) -> Nat {
-        let acc = crate::accelerator::Accelerator::with_backend(self.config.clone(), self.backend);
+        let acc = crate::accelerator::Accelerator::new(self.config.clone());
         let out = acc.multiply(a, b);
         self.stats.record_stages(&out.stages, out.pe_passes, out.pe_slots);
         self.record(

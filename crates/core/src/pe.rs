@@ -9,7 +9,7 @@
 //! outputs with carry parallel computing.
 
 use crate::bops::BopsTally;
-use crate::converter::{generate_patterns, generate_patterns_sliced, Patterns};
+use crate::converter::{generate_patterns, Patterns};
 use crate::error::ModelError;
 use crate::gu::{cycles_carry_parallel, gather_carry_parallel, gather_sliced};
 use crate::ipu::{bit_indexed_inner_product, bit_indexed_inner_product_sliced};
@@ -112,37 +112,28 @@ pub fn pe_pass_with_patterns(
     })
 }
 
-/// One PE pass on the Sliced64 backend (Fig. 9a): sliced Converter →
-/// sliced IPUs → sliced GU, with every L-cycle bitflow stage collapsed to
-/// word ops.
+/// One PE pass on the Sliced64 kernels (Fig. 9a) over a block's sliced
+/// pattern table (Fig. 9b): sliced IPUs → sliced GU, with every L-cycle
+/// bitflow stage collapsed to word ops — the word-kernel twin of
+/// [`pe_pass_with_patterns`].
 ///
-/// * `x_block` — the q pattern limbs as machine words.
+/// * `patterns`, `generation_bops` — the block's table and its recorded
+///   Converter cost, from
+///   [`crate::converter::generate_patterns_sliced`]. The cost is
+///   charged to this pass's tally on every call (the modeled Converter
+///   streams on every pass), so a table replayed across passes is
+///   bit-identical in value *and* accounting to a fresh one.
+/// * `q` — the pattern-block arity of the table.
 /// * `ys_flat` — the per-IPU index tuples, flattened: IPU `k`'s q words
 ///   are `ys_flat[k·q .. (k+1)·q]` (flat so a pass performs one
 ///   allocation-free walk instead of building nested vectors).
 ///
 /// The gathered value and [`BopsTally`] are bit-identical to
 /// [`pe_pass`] on the same inputs; the caller (the
-/// [`crate::accelerator::KernelBackend`] dispatch) guarantees the
+/// [`crate::accelerator::Accelerator::kernel`] selection) guarantees the
 /// sliced-support envelope, under which none of the word kernels can
 /// overflow.
-pub fn pe_pass_sliced(x_block: &[Limb], ys_flat: &[Limb], limb_bits: u32) -> (Nat, BopsTally) {
-    let q = x_block.len();
-    debug_assert!(q >= 1, "a pattern block holds at least one limb");
-    let element_bits = u64::from(limb_bits);
-    let (patterns, generation_bops) = generate_patterns_sliced(x_block, element_bits);
-    pe_pass_sliced_with_patterns(&patterns, generation_bops, q, ys_flat, limb_bits)
-}
-
-/// [`pe_pass_sliced`] over a precomputed sliced pattern table (Fig. 9b) —
-/// the word-backend twin of [`pe_pass_with_patterns`].
-///
-/// `generation_bops` is the table's recorded Converter cost; it is
-/// charged to this pass's tally exactly as [`pe_pass_sliced`] charges a
-/// freshly generated table (the modeled Converter streams on every pass),
-/// so replayed and regenerated passes are bit-identical in value *and*
-/// accounting. `q` is the pattern-block arity of the table.
-pub fn pe_pass_sliced_with_patterns(
+pub fn pe_pass_sliced(
     patterns: &[Limb],
     generation_bops: u64,
     q: usize,
@@ -156,10 +147,12 @@ pub fn pe_pass_sliced_with_patterns(
         pattern_generation: generation_bops,
         ..BopsTally::default()
     };
+    // Indicator-word scratch shared by every IPU of the pass.
+    let mut ind: Vec<Limb> = vec![0; patterns.len()];
     let mut per_ipu: Vec<u128> = Vec::with_capacity(ys_flat.len() / q);
     for ys in ys_flat.chunks_exact(q) {
         let (value, ipu_tally) =
-            bit_indexed_inner_product_sliced(patterns, element_bits, ys, element_bits);
+            bit_indexed_inner_product_sliced(patterns, element_bits, ys, element_bits, &mut ind);
         tally.merge(&ipu_tally);
         per_ipu.push(value);
     }
@@ -169,6 +162,7 @@ pub fn pe_pass_sliced_with_patterns(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::converter::generate_patterns_sliced;
 
     fn limb(v: u64) -> Nat {
         Nat::from(v)
@@ -226,7 +220,8 @@ mod tests {
             .map(|c| c.iter().map(|&v| limb(v)).collect())
             .collect();
         let scalar = pe_pass(&x, &ys, 8).expect("valid inputs");
-        let (gathered, tally) = pe_pass_sliced(&words, &index_words, 8);
+        let (table, bops) = generate_patterns_sliced(&words, 8);
+        let (gathered, tally) = pe_pass_sliced(&table, bops, 4, &index_words, 8);
         assert_eq!(gathered, scalar.gathered);
         assert_eq!(tally, scalar.tally);
     }
@@ -246,7 +241,8 @@ mod tests {
             .map(|c| c.iter().map(|&v| limb(v)).collect())
             .collect();
         let scalar = pe_pass(&x, &ys, 32).expect("valid inputs");
-        let (gathered, tally) = pe_pass_sliced(&words, &index_words, 32);
+        let (table, bops) = generate_patterns_sliced(&words, 32);
+        let (gathered, tally) = pe_pass_sliced(&table, bops, 4, &index_words, 32);
         assert_eq!(gathered, scalar.gathered);
         assert_eq!(tally, scalar.tally);
     }
@@ -255,7 +251,7 @@ mod tests {
     fn replayed_pattern_tables_are_bit_identical_to_fresh_generation() {
         // A table generated once and replayed across passes must
         // reproduce the fresh pass exactly — value AND tally (the modeled
-        // Converter streams on every pass) — on both backends.
+        // Converter streams on every pass) — on both kernels.
         let words = [0xABu64, 0xCD, 0x12, 0x34];
         let x: Vec<Nat> = words.iter().map(|&v| limb(v)).collect();
         let index_words: Vec<u64> = (0..32u64).map(|i| (i * 37 + 11) & 0xFF).collect();
@@ -271,10 +267,9 @@ mod tests {
             assert_eq!(replay.tally, fresh.tally);
         }
         let (table, bops) = generate_patterns_sliced(&words, 8);
-        let fresh = pe_pass_sliced(&words, &index_words, 8);
         for _ in 0..3 {
-            let replay = pe_pass_sliced_with_patterns(&table, bops, 4, &index_words, 8);
-            assert_eq!(replay, fresh);
+            let replay = pe_pass_sliced(&table, bops, 4, &index_words, 8);
+            assert_eq!(replay, (fresh.gathered.clone(), fresh.tally));
         }
     }
 

@@ -34,20 +34,19 @@ pub fn to_limb_words(x: &Nat, limb_bits: u32) -> Vec<Limb> {
         .collect()
 }
 
-/// [`reversed_x_slice`] over raw machine words: element `i` is the word
-/// `x_{t − j0 − i}` (zero outside range) — the §V-B2 Memory Agent
-/// selection for the bitsliced backend.
-pub fn reversed_x_words(xs: &[Limb], t: usize, j0: usize, q: usize) -> Vec<Limb> {
-    (0..q)
-        .map(|i| {
-            let idx = t as i64 - j0 as i64 - i as i64;
-            usize::try_from(idx)
-                .ok()
-                .and_then(|u| xs.get(u))
-                .copied()
-                .unwrap_or(0)
-        })
-        .collect()
+/// [`reversed_x_slice`] over raw machine words, appended to `out`: the
+/// `i`-th appended word is `x_{t − j0 − i}` (zero outside range) — the
+/// §V-B2 Memory Agent selection for the bitsliced kernels, written into
+/// the caller's flattened per-IPU buffer.
+pub fn reversed_x_words(xs: &[Limb], t: usize, j0: usize, q: usize, out: &mut Vec<Limb>) {
+    out.extend((0..q).map(|i| {
+        let idx = t as i64 - j0 as i64 - i as i64;
+        usize::try_from(idx)
+            .ok()
+            .and_then(|u| xs.get(u))
+            .copied()
+            .unwrap_or(0)
+    }));
 }
 
 /// Computes every inner product IP_t of the Eq. 1 transformation — the
@@ -191,7 +190,8 @@ mod tests {
         for t in 0..8usize {
             for j0 in [0usize, 1, 3] {
                 let a = reversed_x_slice(&xs_n, t, j0, 3);
-                let b = reversed_x_words(&xs_w, t, j0, 3);
+                let mut b = Vec::new();
+                reversed_x_words(&xs_w, t, j0, 3, &mut b);
                 for (x, w) in a.iter().zip(&b) {
                     assert_eq!(x.to_u64(), Some(*w), "t={t} j0={j0}");
                 }

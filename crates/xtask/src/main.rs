@@ -125,42 +125,23 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Runs the tier-1 sequence — release build, then the test suite across
-/// the kernel-backend × feature matrix (`APC_KERNEL_BACKEND` set to
-/// `sliced64` and `scalar`, each with and without the `parallel`
-/// feature, so every Device path runs under both kernel engines and both
-/// dispatchers), then in-process lint — and prints a one-line summary.
-/// The workspace's `default-members` cover every crate, so each build and
-/// test leg also builds every member's binaries and runs every member's
-/// tests. Stops at the first failing step so the summary names the
-/// culprit.
+/// Runs the tier-1 sequence — release build and test suite, each with
+/// and without the `parallel` feature (so every Device path runs under
+/// both dispatchers), then in-process lint — and prints a one-line
+/// summary. The workspace's `default-members` cover every crate, so each
+/// build and test leg also builds every member's binaries and runs every
+/// member's tests. Stops at the first failing step so the summary names
+/// the culprit.
 fn ci() -> ExitCode {
-    const BACKEND_ENV: &str = "APC_KERNEL_BACKEND";
-    let steps: [(&str, &[&str], &[(&str, &str)]); 6] = [
-        ("build", &["build", "--release"], &[]),
-        ("test(sliced64)", &["test", "-q"], &[(BACKEND_ENV, "sliced64")]),
-        ("test(scalar)", &["test", "-q"], &[(BACKEND_ENV, "scalar")]),
-        ("build(parallel)", &["build", "--release", "--features", "parallel"], &[]),
-        (
-            "test(parallel,sliced64)",
-            &["test", "-q", "--features", "parallel"],
-            &[(BACKEND_ENV, "sliced64")],
-        ),
-        (
-            "test(parallel,scalar)",
-            &["test", "-q", "--features", "parallel"],
-            &[(BACKEND_ENV, "scalar")],
-        ),
+    let steps: [(&str, &[&str]); 4] = [
+        ("build", &["build", "--release"]),
+        ("test", &["test", "-q"]),
+        ("build(parallel)", &["build", "--release", "--features", "parallel"]),
+        ("test(parallel)", &["test", "-q", "--features", "parallel"]),
     ];
-    for (name, cargo_args, env) in steps {
-        let env_prefix: String =
-            env.iter().map(|(k, v)| format!("{k}={v} ")).collect();
-        println!("ci: {env_prefix}cargo {}", cargo_args.join(" "));
-        match std::process::Command::new("cargo")
-            .args(cargo_args)
-            .envs(env.iter().copied())
-            .status()
-        {
+    for (name, cargo_args) in steps {
+        println!("ci: cargo {}", cargo_args.join(" "));
+        match std::process::Command::new("cargo").args(cargo_args).status() {
             Ok(status) if status.success() => {}
             Ok(_) => {
                 println!("ci: FAIL ({name})");
@@ -177,9 +158,7 @@ fn ci() -> ExitCode {
     let root = xtask::default_workspace_root();
     match xtask::lint_tree(&root) {
         Ok(v) if v.is_empty() => {
-            println!(
-                "ci: PASS (build, test x {{sliced64,scalar}} x {{default,parallel}}, lint)"
-            );
+            println!("ci: PASS (build, test x {{default,parallel}}, lint)");
             ExitCode::SUCCESS
         }
         Ok(v) => {

@@ -1,26 +1,21 @@
-//! Tier-1 gate: the Sliced64 kernel backend must be bit-identical to the
-//! Scalar oracle — results, cycle counts, stage attribution and bops
-//! tallies alike.
+//! Tier-1 gate: the Sliced64 kernels must be bit-identical to the Scalar
+//! oracle — results, cycle counts, stage attribution and bops tallies
+//! alike.
 //!
-//! The Sliced64 backend packs 64 bitflow steps into each host word op;
+//! The Sliced64 kernels pack 64 bitflow steps into each host word op;
 //! nothing about the modeled machine may change. This gate drives the
-//! same randomized operands through both backends across a width sweep
-//! (including exact powers of two and their ±1 neighbours, where limb
-//! decomposition boundaries live) and over every operator MPApca builds
-//! on the structural path, then compares the full `DeviceStats`
-//! snapshots field for field.
+//! same randomized operands through `Accelerator::multiply` (the kernels
+//! the config selects) and `Accelerator::multiply_reference` (the Scalar
+//! oracle) across a width sweep, including exact powers of two and their
+//! ±1 neighbours, where limb decomposition boundaries live, and compares
+//! every `RunOutcome` field. `Device::mul_structural` derives its
+//! `DeviceStats` from exactly these fields.
 
 use apc_bignum::Nat;
-use cambricon_p::{ArchConfig, Device, KernelBackend};
+use cambricon_p::accelerator::{Accelerator, KernelBackend, RunOutcome};
+use cambricon_p::ArchConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn device_pair(config: &ArchConfig) -> (Device, Device) {
-    (
-        Device::new(config.clone()).with_kernel_backend(KernelBackend::Scalar),
-        Device::new(config.clone()).with_kernel_backend(KernelBackend::Sliced64),
-    )
-}
 
 /// Operand widths around every power-of-two boundary in the interesting
 /// range, plus a few odd sizes that leave partial final limbs.
@@ -31,6 +26,22 @@ fn width_sweep() -> Vec<u64> {
         widths.extend([b - 1, b, b + 1]);
     }
     widths
+}
+
+/// Runs `a × b` on the selected kernels and on the Scalar oracle and
+/// asserts every `RunOutcome` field matches and the product is exact.
+fn assert_matches_reference(acc: &Accelerator, a: &Nat, b: &Nat) -> RunOutcome {
+    let v = acc.multiply(a, b);
+    let s = acc.multiply_reference(a, b);
+    let at = format!("{}×{} bits, q={}", a.bit_len(), b.bit_len(), acc.config().q);
+    assert_eq!(v.product, s.product, "product diverged at {at}");
+    assert_eq!(v.cycles, s.cycles, "cycles diverged at {at}");
+    assert_eq!(v.pe_passes, s.pe_passes, "pe_passes diverged at {at}");
+    assert_eq!(v.tally, s.tally, "bops tally diverged at {at}");
+    assert_eq!(v.stages, s.stages, "stage cycles diverged at {at}");
+    assert_eq!(v.pe_slots, s.pe_slots, "pe_slots diverged at {at}");
+    assert_eq!(v.product, a * b, "kernels diverged from the oracle at {at}");
+    v
 }
 
 #[test]
@@ -53,69 +64,34 @@ fn sliced_mul_structural_matches_scalar_bit_for_bit() {
             ..ArchConfig::default()
         },
     ] {
-        let (scalar, sliced) = device_pair(&cfg);
+        let acc = Accelerator::new(cfg);
+        assert_eq!(acc.kernel(), KernelBackend::Sliced64);
+        let mut converter_busy = 0;
         for bits in width_sweep() {
             let a = Nat::random_exact_bits(bits, &mut rng);
             let b = Nat::random_exact_bits(bits.max(2) - 1, &mut rng);
-            let ps = scalar.mul_structural(&a, &b);
-            let pv = sliced.mul_structural(&a, &b);
-            assert_eq!(pv, ps, "product diverged at {bits} bits (q={})", cfg.q);
-            assert_eq!(pv, &a * &b, "both backends must match the oracle");
+            converter_busy += assert_matches_reference(&acc, &a, &b).stages.converter;
         }
         // Zero and one still go through the structural path.
         for special in [Nat::zero(), Nat::one()] {
             let x = Nat::random_exact_bits(257, &mut rng);
-            assert_eq!(
-                scalar.mul_structural(&x, &special),
-                sliced.mul_structural(&x, &special)
-            );
+            assert_matches_reference(&acc, &x, &special);
         }
-        let s = scalar.stats();
-        let v = sliced.stats();
-        assert_eq!(
-            s, v,
-            "DeviceStats snapshots must be identical (cycles, stages, pe slots, bops)"
-        );
-        assert_eq!(s.stage_cycles, v.stage_cycles);
-        assert!(s.stage_cycles.converter > 0, "the sweep did real work");
+        assert!(converter_busy > 0, "the sweep did real work");
     }
-}
-
-#[test]
-fn sliced_derived_operators_match_scalar() {
-    // Div / Sqrt / ModExp build on the same device arithmetic; their
-    // results and accounted cycles must not depend on the backend.
-    let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
-    let (scalar, sliced) = device_pair(&ArchConfig::default());
-    for bits in [255u64, 256, 257, 1024, 4095] {
-        let a = Nat::random_exact_bits(2 * bits, &mut rng);
-        let b = Nat::random_exact_bits(bits, &mut rng);
-        assert_eq!(scalar.divrem(&a, &b), sliced.divrem(&a, &b), "div {bits}");
-        assert_eq!(scalar.sqrt_rem(&a), sliced.sqrt_rem(&a), "sqrt {bits}");
-        let modulus = Nat::random_exact_bits(bits, &mut rng).with_bit(0, true);
-        let exp = Nat::random_exact_bits(64, &mut rng);
-        assert_eq!(
-            scalar.pow_mod(&b, &exp, &modulus),
-            sliced.pow_mod(&b, &exp, &modulus),
-            "pow_mod {bits}"
-        );
-    }
-    assert_eq!(scalar.stats(), sliced.stats());
 }
 
 #[test]
 fn unsupported_envelope_is_still_exact() {
-    // L = 64 with q = 4 exceeds the one-word pattern envelope: the
-    // Sliced64 request must fall back to Scalar and stay bit-exact.
-    let cfg = ArchConfig {
+    // L = 64 with q = 4 exceeds the one-word pattern envelope: the config
+    // selects the Scalar kernels, which stay bit-exact.
+    let acc = Accelerator::new(ArchConfig {
         limb_bits: 64,
         ..ArchConfig::default()
-    };
-    assert!(!KernelBackend::Sliced64.supports(&cfg));
-    let (scalar, sliced) = device_pair(&cfg);
+    });
+    assert_eq!(acc.kernel(), KernelBackend::Scalar);
     let mut rng = StdRng::seed_from_u64(7);
     let a = Nat::random_exact_bits(4096, &mut rng);
     let b = Nat::random_exact_bits(4097, &mut rng);
-    assert_eq!(scalar.mul_structural(&a, &b), sliced.mul_structural(&a, &b));
-    assert_eq!(scalar.stats(), sliced.stats());
+    assert_matches_reference(&acc, &a, &b);
 }
